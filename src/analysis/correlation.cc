@@ -63,9 +63,7 @@ PairScanPlan PlanGroupPairScan(std::size_t num_groups,
   // Contiguous ascending ranges of the first index either way; only the
   // range count differs between the serial and pooled plans, never the
   // visit order a shard-order merge reconstructs.
-  plan.shards = options.pool != nullptr
-                    ? options.pool->ShardsFor(sampled.size())
-                    : MakeShards(sampled.size(), 1);
+  plan.shards = ShardsFor(options.pool, sampled.size());
   return plan;
 }
 
@@ -92,11 +90,7 @@ void RunGroupPairScan(
     }
     if (task_hist != nullptr) task_hist->Record(watch.ElapsedNanos());
   };
-  if (options.pool == nullptr) {
-    for (const ShardRange& shard : plan.shards) scan_shard(shard);
-  } else {
-    options.pool->RunShards(plan.shards, scan_shard);
-  }
+  RunShards(options.pool, plan.shards, scan_shard);
 
   if (obs) {
     const std::uint64_t s = sampled.size();

@@ -52,11 +52,7 @@ void LambdaTable::Calibrate(std::span<const std::uint32_t> row_weights,
       Threshold(weights[a], weights[b]);
     }
   };
-  if (pool != nullptr) {
-    pool->ParallelFor(weights.size(), fill_row);
-  } else {
-    for (std::size_t a = 0; a < weights.size(); ++a) fill_row(a);
-  }
+  ParallelFor(pool, weights.size(), fill_row);
 }
 
 double LambdaTable::EdgeProbFromPStar(double p_star, std::size_t arrays) {

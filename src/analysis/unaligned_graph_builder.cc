@@ -31,11 +31,7 @@ Graph BuildCorrelationGraph(const BitMatrix& matrix,
     auto weigh = [&](std::size_t r) {
       row_ones[r] = static_cast<std::uint32_t>(matrix.row(r).CountOnes());
     };
-    if (pool != nullptr) {
-      pool->ParallelFor(matrix.rows(), weigh);
-    } else {
-      for (std::size_t r = 0; r < matrix.rows(); ++r) weigh(r);
-    }
+    ParallelFor(pool, matrix.rows(), weigh);
   }
 
   // Sharded lambda calibration: precompute the threshold for every pair of

@@ -94,8 +94,7 @@ ScreenedColumns ScreenHeaviestColumns(
         << " columns, matrix has " << matrix.cols();
   }
   const std::size_t col_words = (matrix.cols() + 63) / 64;
-  const std::vector<ShardRange> shards =
-      pool != nullptr ? pool->ShardsFor(col_words) : MakeShards(col_words, 1);
+  const std::vector<ShardRange> shards = ShardsFor(pool, col_words);
   std::vector<std::uint32_t> scratch;
   if (!hot) scratch.assign(matrix.cols(), 0);
   const std::vector<std::uint32_t>& weights =
@@ -117,11 +116,7 @@ ScreenedColumns ScreenHeaviestColumns(
         n_prime);
     if (task_hist != nullptr) task_hist->Record(watch.ElapsedNanos());
   };
-  if (pool != nullptr) {
-    pool->RunShards(shards, weigh_shard);
-  } else {
-    for (const ShardRange& shard : shards) weigh_shard(shard);
-  }
+  RunShards(pool, shards, weigh_shard);
 
   // Merge shard candidates in the total order and keep the global top n'.
   // Every global winner is a winner of its own shard, so the union of the
@@ -155,13 +150,8 @@ ScreenedColumns ScreenHeaviestColumns(
     if (task_hist != nullptr) task_hist->Record(watch.ElapsedNanos());
   };
   const std::vector<ShardRange> extract_shards =
-      pool != nullptr ? pool->ShardsFor(screened.original_ids.size())
-                      : MakeShards(screened.original_ids.size(), 1);
-  if (pool != nullptr) {
-    pool->RunShards(extract_shards, extract_shard);
-  } else {
-    for (const ShardRange& shard : extract_shards) extract_shard(shard);
-  }
+      ShardsFor(pool, screened.original_ids.size());
+  RunShards(pool, extract_shards, extract_shard);
 
   if (obs) {
     ObsCounter("screen.runs").Increment();

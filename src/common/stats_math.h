@@ -5,6 +5,10 @@
 
 namespace dcs {
 
+/// log|Gamma(x)|. Safe on pool workers: unlike std::lgamma it does not
+/// write the global `signgam`, which pooled lambda calibration would race on.
+double LogGamma(double x);
+
 /// Natural log of n choose k; -inf when k < 0 or k > n.
 double LogChoose(double n, double k);
 

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/logging.h"
 
@@ -10,7 +9,7 @@ namespace {
 
 // Which pool (if any) owns the calling thread. Lets RunShards degrade to
 // inline execution when invoked from one of its own workers, where waiting
-// would deadlock (the caller's task counts as in-flight).
+// would deadlock (the caller's own task occupies the worker it waits on).
 thread_local const ThreadPool* current_worker_pool = nullptr;
 
 }  // namespace
@@ -58,24 +57,16 @@ void ThreadPool::Schedule(std::function<void()> task) {
     MutexLock lock(&mu_);
     DCS_CHECK(!shutting_down_);
     queue_.push(std::move(task));
-    ++in_flight_;
   }
   work_available_.Signal();
 }
 
-void ThreadPool::Wait() {
-  DCS_CHECK(!OnWorkerThread());  // A worker waiting on itself would hang.
-  MutexLock lock(&mu_);
-  while (in_flight_ != 0) all_done_.Wait(&lock);
+std::vector<ShardRange> ShardsFor(const ThreadPool* pool, std::size_t count) {
+  return MakeShards(count, pool != nullptr ? pool->num_threads() * 4 : 1);
 }
 
-std::vector<ShardRange> ThreadPool::ShardsFor(std::size_t count) const {
-  return MakeShards(count, threads_.size() * 4);
-}
-
-void ThreadPool::RunShards(const std::vector<ShardRange>& shards,
-                           const std::function<void(const ShardRange&)>& fn) {
-  if (shards.empty()) return;
+void RunShards(ThreadPool* pool, const std::vector<ShardRange>& shards,
+               const std::function<void(const ShardRange&)>& fn) {
   // The deterministic-merge contract: shard indices are their positions and
   // ranges tile [begin, end) without gaps, so per-shard partials can be
   // merged in ascending index order regardless of execution schedule.
@@ -87,67 +78,38 @@ void ThreadPool::RunShards(const std::vector<ShardRange>& shards,
     DCS_DCHECK(s == 0 || shards[s].begin == shards[s - 1].end)
         << "shard " << s << " is not contiguous with its predecessor";
   }
-  if (OnWorkerThread() || shards.size() == 1) {
-    // Nested call (or nothing to spread): run inline. Shard contents and
-    // merge order are schedule-independent, so results are unchanged.
+  if (pool == nullptr || shards.size() <= 1 || pool->OnWorkerThread()) {
+    // Serial engine, nothing to spread, or a nested call: run inline.
     for (const ShardRange& shard : shards) fn(shard);
     return;
   }
-  // Per-call completion latch, so concurrent RunShards callers (and
-  // unrelated Schedule traffic) never wait on each other's work. The
-  // counter is the latch state (decremented outside the lock); done_mu only
-  // serializes the sleep/notify handshake, which is why it guards no data.
-  std::atomic<std::size_t> remaining{shards.size()};
-  Mutex done_mu{"ThreadPool.RunShards.done_mu"};
-  CondVar done_cv;
+  // Per-call completion latch, so concurrent callers never wait on each
+  // other's work. The count is decremented under the latch's own mutex and
+  // the last decrement signals before releasing it: the waiter can only see
+  // zero after that release, so it never returns (destroying the latch on
+  // its stack) while a worker still touches the mutex or the condvar.
+  struct Latch {
+    explicit Latch(std::size_t n) : remaining(n) {}
+    Mutex mu{"ThreadPool.RunShards.latch"};
+    CondVar done;
+    std::size_t remaining DCS_GUARDED_BY(mu);
+  } latch(shards.size());
   for (const ShardRange& shard : shards) {
-    Schedule([&fn, &shard, &remaining, &done_mu, &done_cv] {
+    pool->Schedule([&fn, &shard, &latch] {
       fn(shard);
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(&done_mu);
-        done_cv.SignalAll();
-      }
+      MutexLock lock(&latch.mu);
+      if (--latch.remaining == 0) latch.done.SignalAll();
     });
   }
-  MutexLock lock(&done_mu);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.Wait(&lock);
-  }
+  MutexLock lock(&latch.mu);
+  while (latch.remaining != 0) latch.done.Wait(&lock);
 }
 
-void ThreadPool::ParallelFor(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  RunShards(ShardsFor(count), [&fn](const ShardRange& shard) {
+void ParallelFor(ThreadPool* pool, std::size_t count,
+                 const std::function<void(std::size_t)>& fn) {
+  RunShards(pool, ShardsFor(pool, count), [&fn](const ShardRange& shard) {
     for (std::size_t i = shard.begin; i < shard.end; ++i) fn(i);
   });
-}
-
-void ThreadPool::RunTasks(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  if (OnWorkerThread() || tasks.size() == 1) {
-    // Nested call (or nothing to spread): run inline. Tasks carry no
-    // ordering contract, so the batch-order schedule is as good as any.
-    for (const auto& task : tasks) task();
-    return;
-  }
-  // Per-call completion latch, exactly as in RunShards: concurrent callers
-  // (and unrelated Schedule traffic) never wait on each other's work.
-  std::atomic<std::size_t> remaining{tasks.size()};
-  Mutex done_mu{"ThreadPool.RunTasks.done_mu"};
-  CondVar done_cv;
-  for (const auto& task : tasks) {
-    Schedule([&task, &remaining, &done_mu, &done_cv] {
-      task();
-      if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        MutexLock lock(&done_mu);
-        done_cv.SignalAll();
-      }
-    });
-  }
-  MutexLock lock(&done_mu);
-  while (remaining.load(std::memory_order_acquire) != 0) {
-    done_cv.Wait(&lock);
-  }
 }
 
 void ThreadPool::WorkerLoop() {
@@ -162,11 +124,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.SignalAll();
-    }
   }
 }
 

@@ -28,14 +28,38 @@ struct ShardRange {
 /// shards.
 std::vector<ShardRange> MakeShards(std::size_t count, std::size_t max_shards);
 
+class ThreadPool;
+
+/// The partition RunShards/ParallelFor use for `count` items on `pool`:
+/// MakeShards(count, 4 * pool->num_threads()), or the single shard
+/// MakeShards(count, 1) for a null pool (the serial engine). Oversharding by
+/// 4x lets the queue load-balance uneven shards (e.g. the triangular pair
+/// pass).
+std::vector<ShardRange> ShardsFor(const ThreadPool* pool, std::size_t count);
+
+/// The one fork-join entry point of every engine: runs fn(shard) for every
+/// shard and returns once all have completed. The shards run inline on the
+/// caller, in shard order, when `pool` is null, when there is only one
+/// shard, or when the caller is a worker of `pool` (waiting on its own
+/// queue would deadlock); otherwise they spread across the pool. Shard
+/// contents and merge order never depend on which of these ran, so results
+/// are identical — only the schedule changes.
+void RunShards(ThreadPool* pool, const std::vector<ShardRange>& shards,
+               const std::function<void(const ShardRange&)>& fn);
+
+/// Runs fn(i) for i in [0, count), partitioned with ShardsFor(pool, count)
+/// and run through RunShards (so a null pool visits every index in order on
+/// the caller).
+void ParallelFor(ThreadPool* pool, std::size_t count,
+                 const std::function<void(std::size_t)>& fn);
+
 /// \brief Fixed-size worker pool.
 ///
 /// The paper notes (Section IV-D) that the analysis center's work is
 /// embarrassingly parallel and suggests spreading it over many CPUs. Both
-/// pipelines run on this pool via RunShards / ParallelFor: the aligned one
-/// (weight screen, hopefuls iterations, core scan) and the unaligned one
-/// (row weights, lambda calibration, pair scan, min-degree peeling,
-/// survivor expansion). See docs/PARALLELISM.md for the sharding and merge
+/// pipelines, and the ingest server's connection drain, run on this pool
+/// through RunShards / ParallelFor above; the pool itself exposes no other
+/// way to submit work. See docs/PARALLELISM.md for the sharding and merge
 /// architecture.
 class ThreadPool {
  public:
@@ -48,59 +72,30 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task.
-  void Schedule(std::function<void()> task);
-
-  /// Blocks until every scheduled task has finished. Must not be called from
-  /// a worker of this pool (the caller's own task could never be waited out).
-  void Wait();
-
   /// Number of worker threads.
   std::size_t num_threads() const { return threads_.size(); }
 
-  /// True when the calling thread is one of this pool's workers. Parallel
-  /// drivers use this to degrade to inline execution instead of deadlocking
-  /// on a nested Wait().
+  /// True when the calling thread is one of this pool's workers. RunShards
+  /// uses this to degrade to inline execution instead of deadlocking on a
+  /// nested fork-join.
   bool OnWorkerThread() const;
 
-  /// The partition RunShards/ParallelFor would use for `count` items:
-  /// MakeShards(count, 4 * num_threads()). Oversharding by 4x lets the queue
-  /// load-balance uneven shards (e.g. the triangular pair pass).
-  std::vector<ShardRange> ShardsFor(std::size_t count) const;
-
-  /// Runs fn(shard) for every shard across the pool and blocks until all
-  /// complete. Safe to call from a worker thread of this pool: the shards
-  /// then run inline on the caller (results are identical — only the
-  /// schedule changes).
-  void RunShards(const std::vector<ShardRange>& shards,
-                 const std::function<void(const ShardRange&)>& fn);
-
-  /// Runs fn(i) for i in [0, count) across the pool, partitioned with
-  /// ShardsFor, and blocks until all complete. Safe on worker threads (runs
-  /// inline, see RunShards).
-  void ParallelFor(std::size_t count,
-                   const std::function<void(std::size_t)>& fn);
-
-  /// Runs a batch of heterogeneous tasks across the pool and blocks until
-  /// all complete — the counterpart of RunShards for work that is not an
-  /// index range (e.g. the ingest server draining one task per readable
-  /// connection, where per-task cost varies with what the peer sent). Tasks
-  /// may run in any order and must not depend on shared mutable state
-  /// beyond their own closure. Safe to call from a worker thread of this
-  /// pool: the tasks then run inline on the caller, in batch order.
-  void RunTasks(const std::vector<std::function<void()>>& tasks);
-
  private:
+  friend void RunShards(ThreadPool* pool,
+                        const std::vector<ShardRange>& shards,
+                        const std::function<void(const ShardRange&)>& fn);
+
+  /// Enqueues a task. Only RunShards submits work, and it waits for every
+  /// task it submits, so the queue is empty whenever no fork-join is open.
+  void Schedule(std::function<void()> task);
+
   void WorkerLoop();
 
-  /// One mutex covers the whole scheduling state: queue, completion latch,
-  /// and shutdown flag move together (Schedule pushes and bumps in_flight_
-  /// atomically; Wait reads in_flight_ against queue drain).
+  /// One mutex covers the scheduling state: queue and shutdown flag move
+  /// together. Completion is tracked per RunShards call, not here.
   Mutex mu_{"ThreadPool.mu"};
   CondVar work_available_;
-  CondVar all_done_;
   std::queue<std::function<void()>> queue_ DCS_GUARDED_BY(mu_);
-  std::size_t in_flight_ DCS_GUARDED_BY(mu_) = 0;
   bool shutting_down_ DCS_GUARDED_BY(mu_) = false;
   /// Written only by the constructor, joined only by the destructor; size()
   /// is read concurrently but the vector is immutable between the two, so

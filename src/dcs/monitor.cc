@@ -221,7 +221,10 @@ EpochCalibration DcsMonitor::BaseCalibration(std::uint32_t observed) const {
   EpochCalibration c;
   c.expected_routers = ingest_options_.expected_routers;
   c.observed_routers = observed;
-  c.degraded = c.expected_routers > 0 && observed < c.expected_routers;
+  // A pipeline that received nothing is idle, not degraded: an aligned-only
+  // fleet must not mark every epoch's unaligned side as missing routers.
+  c.degraded = c.expected_routers > 0 && observed > 0 &&
+               observed < c.expected_routers;
   return c;
 }
 
@@ -277,30 +280,42 @@ const std::vector<std::uint32_t>* DcsMonitor::AlignedHotWeights() const {
   return &incremental_weights_.weights();
 }
 
+BitMatrix DcsMonitor::StackAlignedMatrix() const {
+  ScopedStageTimer timer("stack_matrix");
+  BitMatrix matrix;
+  for (const Digest& digest : aligned_) matrix.AppendRow(digest.rows.front());
+  return matrix;
+}
+
+AlignedReport DcsMonitor::MakeAlignedReport(
+    const AlignedDetection& detection, const EpochCalibration& calibration,
+    const BitMatrix& matrix) const {
+  AlignedReport report;
+  report.calibration = calibration;
+  report.matrix_rows = matrix.rows();
+  report.matrix_cols = matrix.cols();
+  report.common_content_detected = detection.pattern_found;
+  if (!detection.pattern_found) return report;
+  report.routers.reserve(detection.rows.size());
+  for (std::uint32_t row : detection.rows) {
+    report.routers.push_back(aligned_[row].router_id);
+  }
+  std::sort(report.routers.begin(), report.routers.end());
+  report.signature_columns = detection.columns;
+  return report;
+}
+
 std::vector<AlignedReport> DcsMonitor::AnalyzeAlignedAll(
     std::size_t max_patterns) const {
   std::vector<AlignedReport> reports;
   if (aligned_.size() < 2) return reports;
   const EpochCalibration calibration = AlignedCalibration();
-  BitMatrix matrix;
-  for (const Digest& digest : aligned_) {
-    matrix.AppendRow(digest.rows.front());
-  }
+  const BitMatrix matrix = StackAlignedMatrix();
   AlignedDetector detector(aligned_options_.detector, context_);
   for (const AlignedDetection& detection : detector.DetectMultipleInMatrix(
            matrix, aligned_options_.n_prime, max_patterns,
            AlignedHotWeights())) {
-    AlignedReport report;
-    report.calibration = calibration;
-    report.matrix_rows = matrix.rows();
-    report.matrix_cols = matrix.cols();
-    report.common_content_detected = true;
-    for (std::uint32_t row : detection.rows) {
-      report.routers.push_back(aligned_[row].router_id);
-    }
-    std::sort(report.routers.begin(), report.routers.end());
-    report.signature_columns = detection.columns;
-    reports.push_back(std::move(report));
+    reports.push_back(MakeAlignedReport(detection, calibration, matrix));
   }
   return reports;
 }
@@ -308,37 +323,21 @@ std::vector<AlignedReport> DcsMonitor::AnalyzeAlignedAll(
 AlignedReport DcsMonitor::AnalyzeAligned() const {
   ScopedStageTimer epoch_timer("analyze_aligned");
   ObsCounter("monitor.epochs_analyzed.aligned").Increment();
-  AlignedReport report;
-  report.calibration = AlignedCalibration();
-  if (report.calibration.degraded) {
+  const EpochCalibration calibration = AlignedCalibration();
+  if (calibration.degraded) {
     ObsCounter("ingest.degraded_epochs").Increment();
   }
-  if (aligned_.size() < 2) return report;
-
-  // Stack one row per router bitmap.
-  BitMatrix matrix;
-  {
-    ScopedStageTimer timer("stack_matrix");
-    for (const Digest& digest : aligned_) {
-      matrix.AppendRow(digest.rows.front());
-    }
+  if (aligned_.size() < 2) {
+    AlignedReport report;
+    report.calibration = calibration;
+    return report;
   }
-  report.matrix_rows = matrix.rows();
-  report.matrix_cols = matrix.cols();
-
+  const BitMatrix matrix = StackAlignedMatrix();
   AlignedDetector detector(aligned_options_.detector, context_);
-  const AlignedDetection detection = detector.DetectInMatrix(
-      matrix, aligned_options_.n_prime, AlignedHotWeights());
-  report.common_content_detected = detection.pattern_found;
-  if (detection.pattern_found) {
-    report.routers.reserve(detection.rows.size());
-    for (std::uint32_t row : detection.rows) {
-      report.routers.push_back(aligned_[row].router_id);
-    }
-    std::sort(report.routers.begin(), report.routers.end());
-    report.signature_columns = detection.columns;
-  }
-  return report;
+  return MakeAlignedReport(
+      detector.DetectInMatrix(matrix, aligned_options_.n_prime,
+                              AlignedHotWeights()),
+      calibration, matrix);
 }
 
 void DcsMonitor::BuildUnalignedMatrix(

@@ -143,6 +143,15 @@ class DcsMonitor {
   void BuildUnalignedMatrix(BitMatrix* matrix,
                             std::vector<GroupRef>* group_refs) const;
 
+  // Stacks one row per aligned digest (timed as stack_matrix).
+  BitMatrix StackAlignedMatrix() const;
+
+  // The report for one detection over `matrix`: detection rows mapped to
+  // router ids (ascending) and the signature columns.
+  AlignedReport MakeAlignedReport(const AlignedDetection& detection,
+                                  const EpochCalibration& calibration,
+                                  const BitMatrix& matrix) const;
+
   // Rejection bookkeeping: counts *counter, mirrors it into the ingest.*
   // metrics, optionally quarantines the sender, and returns `reason`.
   Status Reject(std::uint64_t* counter, const char* metric,

@@ -21,8 +21,8 @@ struct EpochCalibration {
   /// actually contributing to this analysis.
   std::uint32_t expected_routers = 0;
   std::uint32_t observed_routers = 0;
-  /// True when observed < expected: thresholds below are for the smaller
-  /// matrix.
+  /// True when 0 < observed < expected: thresholds below are for the smaller
+  /// matrix. A pipeline no router fed this epoch is idle, not degraded.
   bool degraded = false;
 
   // Aligned pipeline, at m' = observed_routers rows.

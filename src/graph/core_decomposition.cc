@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <queue>
 #include <tuple>
@@ -19,18 +18,7 @@ namespace {
 constexpr std::size_t kMinParallelScan = 2048;
 
 std::vector<ShardRange> PeelShards(ThreadPool* pool, std::size_t count) {
-  return pool != nullptr && count >= kMinParallelScan
-             ? pool->ShardsFor(count)
-             : MakeShards(count, 1);
-}
-
-void RunPeelShards(ThreadPool* pool, const std::vector<ShardRange>& shards,
-                   const std::function<void(const ShardRange&)>& fn) {
-  if (pool != nullptr && shards.size() > 1) {
-    pool->RunShards(shards, fn);
-  } else {
-    for (const ShardRange& shard : shards) fn(shard);
-  }
+  return ShardsFor(count >= kMinParallelScan ? pool : nullptr, count);
 }
 
 // Canonical wave peeling for kMinDegree (see docs/PARALLELISM.md).
@@ -56,7 +44,7 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
   std::vector<std::size_t> degree(n);
   {
     const std::vector<ShardRange> shards = PeelShards(pool, n);
-    RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+    RunShards(pool, shards, [&](const ShardRange& shard) {
       for (std::size_t v = shard.begin; v < shard.end; ++v) {
         degree[v] = graph.degree(static_cast<Graph::VertexId>(v));
       }
@@ -83,7 +71,7 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
       const std::vector<ShardRange> shards = PeelShards(pool, n);
       std::vector<std::size_t> shard_min(
           shards.size(), std::numeric_limits<std::size_t>::max());
-      RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+      RunShards(pool, shards, [&](const ShardRange& shard) {
         std::size_t local = std::numeric_limits<std::size_t>::max();
         for (std::size_t v = shard.begin; v < shard.end; ++v) {
           if (!removed[v]) local = std::min(local, degree[v]);
@@ -102,7 +90,7 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
     {
       const std::vector<ShardRange> shards = PeelShards(pool, n);
       std::vector<std::vector<Graph::VertexId>> shard_hits(shards.size());
-      RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+      RunShards(pool, shards, [&](const ShardRange& shard) {
         for (std::size_t v = shard.begin; v < shard.end; ++v) {
           if (!removed[v] && degree[v] <= wave_degree) {
             shard_hits[shard.index].push_back(
@@ -139,7 +127,7 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
         const std::vector<ShardRange> shards =
             PeelShards(pool, frontier.size());
         std::vector<std::vector<Graph::VertexId>> shard_hits(shards.size());
-        RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+        RunShards(pool, shards, [&](const ShardRange& shard) {
           for (std::size_t i = shard.begin; i < shard.end; ++i) {
             for (Graph::VertexId w : graph.neighbors(frontier[i])) {
               if (!removed[w]) shard_hits[shard.index].push_back(w);
@@ -160,7 +148,7 @@ PeelResult PeelMinDegreeWaves(const Graph& graph, std::size_t beta,
       {
         const std::vector<ShardRange> shards =
             PeelShards(pool, candidates.size());
-        RunPeelShards(pool, shards, [&](const ShardRange& shard) {
+        RunShards(pool, shards, [&](const ShardRange& shard) {
           for (std::size_t i = shard.begin; i < shard.end; ++i) {
             const Graph::VertexId w = candidates[i];
             std::size_t lost = 0;

@@ -358,16 +358,8 @@ Status IngestServer::Serve() {
         if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
         readable.push_back(connections_[i].get());
       }
-      if (options_.pool != nullptr && readable.size() > 1) {
-        std::vector<std::function<void()>> tasks;
-        tasks.reserve(readable.size());
-        for (Connection* conn : readable) {
-          tasks.emplace_back([this, conn] { DrainConnection(conn); });
-        }
-        options_.pool->RunTasks(tasks);
-      } else {
-        for (Connection* conn : readable) DrainConnection(conn);
-      }
+      ParallelFor(options_.pool, readable.size(),
+                  [&](std::size_t i) { DrainConnection(readable[i]); });
       // Stage 2 — ordered offer: always on this thread, always in
       // connection order. One funnel into the dispatcher/ring is what
       // keeps the report stream identical at any worker count.

@@ -14,6 +14,7 @@
 #include "analysis/unaligned_thresholds.h"
 #include "common/rng.h"
 #include "dcs/monitor.h"
+#include "obs/metrics.h"
 
 namespace dcs {
 namespace {
@@ -182,6 +183,28 @@ TEST(DegradedModeTest, UnalignedCalibrationTracksObservedVertices) {
     EXPECT_DOUBLE_EQ(from_degraded.unaligned_p1, expected.best_p1);
     EXPECT_EQ(from_degraded.unaligned_d, expected.best_d);
   }
+}
+
+TEST(DegradedModeTest, IdlePipelineOfAFullFleetIsNotDegraded) {
+  // A full aligned-only fleet leaves the unaligned pipeline empty. Empty is
+  // idle, not missing routers: neither pipeline is degraded and the epoch
+  // adds nothing to ingest.degraded_epochs.
+  MetricsRegistry::Global().set_enabled(true);
+  Counter& degraded_epochs = ObsCounter("ingest.degraded_epochs");
+  const std::uint64_t before = degraded_epochs.value();
+  DcsMonitor monitor = HardenedMonitor(kFleet);
+  for (const Digest& digest : AlignedFleet(kFleet)) {
+    ASSERT_TRUE(monitor.AddDigest(digest).ok());
+  }
+  const AlignedReport aligned = monitor.AnalyzeAligned();
+  const UnalignedReport unaligned = monitor.AnalyzeUnaligned();
+  const std::uint64_t after = degraded_epochs.value();
+  MetricsRegistry::Global().set_enabled(false);
+
+  EXPECT_FALSE(aligned.calibration.degraded);
+  EXPECT_FALSE(unaligned.calibration.degraded);
+  EXPECT_EQ(unaligned.calibration.observed_routers, 0u);
+  EXPECT_EQ(after - before, 0u);
 }
 
 TEST(DegradedModeTest, HalfFleetStillDetectsThePlantedPattern) {

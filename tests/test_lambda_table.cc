@@ -52,7 +52,7 @@ TEST(LambdaTableTest, ConcurrentLookupsAgree) {
   LambdaTable table(1024, 1e-5);
   ThreadPool pool(4);
   std::vector<std::int64_t> results(64);
-  pool.ParallelFor(64, [&](std::size_t i) {
+  ParallelFor(&pool, 64, [&](std::size_t i) {
     results[i] = table.Threshold(static_cast<std::uint32_t>(400 + i % 8),
                                  static_cast<std::uint32_t>(450 + i % 5));
   });

@@ -164,6 +164,8 @@ TEST(MonitorMultiPatternTest, AnalyzeAlignedAllFindsTwoContents) {
     EXPECT_TRUE(report.common_content_detected);
     EXPECT_GE(report.routers.size(), 14u);
   }
+  // The strongest content is exactly what single-pattern analysis reports.
+  EXPECT_EQ(reports.front(), monitor.AnalyzeAligned());
 }
 
 }  // namespace

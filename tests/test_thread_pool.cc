@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <numeric>
 #include <thread>
@@ -12,26 +11,10 @@
 namespace dcs {
 namespace {
 
-TEST(ThreadPoolTest, RunsScheduledTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not deadlock.
-  SUCCEED();
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(&pool, 1000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -39,51 +22,52 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
 
 TEST(ThreadPoolTest, ParallelForZeroCountIsNoop) {
   ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL(); });
+  ParallelFor(&pool, 0, [](std::size_t) { FAIL(); });
 }
 
 TEST(ThreadPoolTest, ParallelForCountSmallerThanThreads) {
   ThreadPool pool(8);
   std::atomic<int> sum{0};
-  pool.ParallelFor(3, [&sum](std::size_t i) {
+  ParallelFor(&pool, 3, [&sum](std::size_t i) {
     sum.fetch_add(static_cast<int>(i));
   });
   EXPECT_EQ(sum.load(), 0 + 1 + 2);
-}
-
-TEST(ThreadPoolTest, TasksCanScheduleMoreWorkBeforeWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Schedule([&] {
-    counter.fetch_add(1);
-  });
-  pool.Wait();
-  pool.Schedule([&] { counter.fetch_add(10); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 11);
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   std::atomic<int> counter{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 50; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
+    ParallelFor(&pool, 50, [&counter](std::size_t) { counter.fetch_add(1); });
   }
   EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
   ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    pool.Schedule([&order, i] { order.push_back(i); });
-  }
-  pool.Wait();
+  std::vector<std::size_t> order;
+  RunShards(&pool, MakeShards(5, 5), [&order](const ShardRange& shard) {
+    order.push_back(shard.index);
+  });
   // One worker executes in FIFO order.
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, NullPoolRunsEveryIndexInOrderOnTheCaller) {
+  // A null pool is the serial engine: one shard, run inline.
+  const auto shards = ShardsFor(nullptr, 100);
+  ASSERT_EQ(shards.size(), 1u);
+  EXPECT_EQ(shards[0].begin, 0u);
+  EXPECT_EQ(shards[0].end, 100u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  ParallelFor(nullptr, 100, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(MakeShardsTest, CoversRangeExactlyOnce) {
@@ -124,9 +108,9 @@ TEST(MakeShardsTest, NearEqualSizes) {
 
 TEST(ThreadPoolTest, RunShardsExecutesEveryShardOnce) {
   ThreadPool pool(4);
-  const auto shards = pool.ShardsFor(100);
+  const auto shards = ShardsFor(&pool, 100);
   std::vector<std::atomic<int>> hits(100);
-  pool.RunShards(shards, [&hits](const ShardRange& shard) {
+  RunShards(&pool, shards, [&hits](const ShardRange& shard) {
     for (std::size_t i = shard.begin; i < shard.end; ++i) {
       hits[i].fetch_add(1);
     }
@@ -136,45 +120,48 @@ TEST(ThreadPoolTest, RunShardsExecutesEveryShardOnce) {
   }
 }
 
-TEST(ThreadPoolTest, RunTasksExecutesEveryTaskOnce) {
+TEST(ThreadPoolTest, ParallelForRunsEveryTaskOfABatchOnce) {
+  // The ingest server's drain shape: one closure per item, in any order.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(37);
   std::vector<std::function<void()>> tasks;
   for (std::size_t i = 0; i < hits.size(); ++i) {
     tasks.push_back([&hits, i] { hits[i].fetch_add(1); });
   }
-  pool.RunTasks(tasks);
+  ParallelFor(&pool, tasks.size(), [&tasks](std::size_t i) { tasks[i](); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "task " << i;
   }
 }
 
-TEST(ThreadPoolTest, RunTasksEmptyAndSingle) {
+TEST(ThreadPoolTest, ParallelForEmptyAndSingleBatch) {
   ThreadPool pool(2);
-  pool.RunTasks({});  // Must not deadlock.
+  ParallelFor(&pool, 0, [](std::size_t) { FAIL(); });  // Must not deadlock.
   std::atomic<int> counter{0};
-  pool.RunTasks({[&counter] { counter.fetch_add(1); }});
+  ParallelFor(&pool, 1, [&](std::size_t) {
+    EXPECT_FALSE(pool.OnWorkerThread());  // A single item runs inline.
+    counter.fetch_add(1);
+  });
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPoolTest, NestedRunTasksRunsInlineInBatchOrder) {
-  // RunTasks from a worker thread must not deadlock waiting on itself; it
-  // degrades to inline execution, preserving batch order. (A two-task
-  // batch, because a single task runs inline on the caller and would not
+TEST(ThreadPoolTest, NestedParallelForRunsInlineInOrder) {
+  // A fork-join from a worker thread must not deadlock waiting on itself; it
+  // degrades to inline execution, preserving index order. (A two-item
+  // batch, because a single item runs inline on the caller and would not
   // reach a worker thread at all.)
   ThreadPool pool(2);
-  std::vector<int> order;
+  std::vector<std::size_t> order;
   std::atomic<int> other{0};
-  pool.RunTasks({[&pool, &order] {
-                   EXPECT_TRUE(pool.OnWorkerThread());
-                   std::vector<std::function<void()>> inner;
-                   for (int i = 0; i < 5; ++i) {
-                     inner.push_back([&order, i] { order.push_back(i); });
-                   }
-                   pool.RunTasks(inner);
-                 },
-                 [&other] { other.fetch_add(1); }});
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  ParallelFor(&pool, 2, [&](std::size_t outer) {
+    if (outer == 1) {
+      other.fetch_add(1);
+      return;
+    }
+    EXPECT_TRUE(pool.OnWorkerThread());
+    ParallelFor(&pool, 5, [&order](std::size_t i) { order.push_back(i); });
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(other.load(), 1);
 }
 
@@ -184,10 +171,10 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   ThreadPool pool(3);
   std::atomic<int> inner_total{0};
   std::atomic<int> inline_calls{0};
-  pool.ParallelFor(6, [&](std::size_t) {
+  ParallelFor(&pool, 6, [&](std::size_t) {
     EXPECT_TRUE(pool.OnWorkerThread());
     inline_calls.fetch_add(1);
-    pool.ParallelFor(50, [&inner_total](std::size_t) {
+    ParallelFor(&pool, 50, [&inner_total](std::size_t) {
       inner_total.fetch_add(1);
     });
   });
@@ -200,7 +187,7 @@ TEST(ThreadPoolTest, BackToBackParallelFor) {
   ThreadPool pool(4);
   for (int round = 0; round < 20; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.ParallelFor(101, [&sum](std::size_t i) { sum.fetch_add(i); });
+    ParallelFor(&pool, 101, [&sum](std::size_t i) { sum.fetch_add(i); });
     EXPECT_EQ(sum.load(), 101u * 100u / 2u) << "round " << round;
   }
 }
@@ -212,17 +199,15 @@ TEST(ThreadPoolTest, ConcurrentRunShardsCallersAreIndependent) {
   std::atomic<int> a_done{0};
   std::atomic<int> b_done{0};
   std::thread ta([&] {
-    pool.RunShards(pool.ShardsFor(64),
-                   [&a_done](const ShardRange& shard) {
-                     a_done.fetch_add(static_cast<int>(shard.end - shard.begin));
-                   });
+    RunShards(&pool, ShardsFor(&pool, 64), [&a_done](const ShardRange& shard) {
+      a_done.fetch_add(static_cast<int>(shard.end - shard.begin));
+    });
     EXPECT_EQ(a_done.load(), 64);
   });
   std::thread tb([&] {
-    pool.RunShards(pool.ShardsFor(32),
-                   [&b_done](const ShardRange& shard) {
-                     b_done.fetch_add(static_cast<int>(shard.end - shard.begin));
-                   });
+    RunShards(&pool, ShardsFor(&pool, 32), [&b_done](const ShardRange& shard) {
+      b_done.fetch_add(static_cast<int>(shard.end - shard.begin));
+    });
     EXPECT_EQ(b_done.load(), 32);
   });
   ta.join();
@@ -231,93 +216,43 @@ TEST(ThreadPoolTest, ConcurrentRunShardsCallersAreIndependent) {
   EXPECT_EQ(b_done.load(), 32);
 }
 
-TEST(ThreadPoolTest, WaitUnderContention) {
-  // Several threads Wait() while work keeps arriving; everyone returns once
-  // the queue drains.
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
-  }
-  std::vector<std::thread> waiters;
-  for (int w = 0; w < 4; ++w) {
-    waiters.emplace_back([&pool] { pool.Wait(); });
-  }
-  for (std::thread& t : waiters) t.join();
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 200);
-}
-
 // ---------------------------------------------------------------------------
-// Teardown edges. These are the races TSan is pointed at explicitly in CI
-// (ctest -R "test_sync|test_thread_pool" in the sanitizer job): destruction
-// overlapping queued work, nested shard runs during shutdown, and waiter
-// release ordering against the final drain.
+// Latch lifetime. This is the race TSan is pointed at explicitly in CI
+// (ctest -R "test_sync|test_thread_pool" in the sanitizer job): every
+// RunShards call keeps its completion latch on the caller's stack, so the
+// caller must not be able to return while the last worker still touches it.
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTeardownTest, DestructorDrainsTasksStillQueued) {
-  // The destructor's contract is drain-then-join, not abandon: tasks that
-  // were accepted must run even when nobody calls Wait(). One worker with a
-  // slow head task guarantees a deep queue at destruction time.
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    pool.Schedule(
-        [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
-    for (int i = 0; i < 100; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTeardownTest, NestedRunShardsDuringShutdownRunsInline) {
-  // A worker task that fans out with RunShards/ParallelFor while the
-  // destructor has already flagged shutdown must complete inline — the
-  // nested call may not Schedule (new work is refused during teardown) and
-  // may not deadlock waiting for workers that are busy winding down.
-  std::atomic<int> inner{0};
-  {
-    ThreadPool pool(2);
-    pool.Schedule([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      pool.ParallelFor(64, [&inner](std::size_t) { inner.fetch_add(1); });
+TEST(ThreadPoolLatchTest, StormOfTinyTwoShardBatches) {
+  // Oversubscribed (16 workers, more than most hosts have cores) and
+  // back-to-back: shards this small often finish before the caller blocks,
+  // which is when a latch released outside its mutex lets the caller tear
+  // it down under the last worker. Four callers share the pool so latches
+  // of different calls are live at once.
+  ThreadPool pool(16);
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 3000;
+  const std::vector<ShardRange> shards = MakeShards(2, 2);
+  std::atomic<int> incomplete{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < kCallsPerCaller; ++call) {
+        int ran[2] = {0, 0};
+        RunShards(&pool, shards,
+                  [&ran](const ShardRange& shard) { ran[shard.index] = 1; });
+        if (ran[0] + ran[1] != 2) incomplete.fetch_add(1);
+      }
     });
-    // Leave scope immediately: the destructor runs while the task sleeps,
-    // so the nested ParallelFor starts with shutting_down_ already set.
   }
-  EXPECT_EQ(inner.load(), 64);
-}
-
-TEST(ThreadPoolTeardownTest, WaitersAreReleasedBeforeTeardown) {
-  // Waiters blocked in Wait() while the final tasks drain must all be
-  // released by the last worker's broadcast, immediately ahead of the
-  // destructor's own shutdown handshake on the same mutex.
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.Schedule([&counter] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        counter.fetch_add(1);
-      });
-    }
-    std::vector<std::thread> waiters;
-    for (int w = 0; w < 4; ++w) {
-      waiters.emplace_back([&] {
-        pool.Wait();
-        EXPECT_EQ(counter.load(), 32);  // Wait() returned after the drain.
-      });
-    }
-    for (std::thread& t : waiters) t.join();
-  }
-  EXPECT_EQ(counter.load(), 32);
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(incomplete.load(), 0);
 }
 
 TEST(ThreadPoolTest, ParallelForManyMoreShardsThanThreads) {
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(10000);
-  pool.ParallelFor(10000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  ParallelFor(&pool, 10000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
