@@ -13,7 +13,7 @@ namespace dcs {
 LambdaTable::LambdaTable(std::size_t array_bits, double p_star)
     : array_bits_(array_bits),
       p_star_(p_star),
-      cache_((array_bits + 1) * (array_bits + 1)) {
+      cache_((array_bits + 1) * (array_bits + 2) / 2) {
   DCS_CHECK(p_star > 0.0 && p_star < 1.0);
   for (auto& entry : cache_) {
     entry.store(-1, std::memory_order_relaxed);
@@ -23,7 +23,10 @@ LambdaTable::LambdaTable(std::size_t array_bits, double p_star)
 std::int64_t LambdaTable::Threshold(std::uint32_t i, std::uint32_t j) const {
   DCS_CHECK(i <= array_bits_ && j <= array_bits_);
   if (i > j) std::swap(i, j);
-  auto& slot = cache_[static_cast<std::size_t>(i) * (array_bits_ + 1) + j];
+  // Row i of the i <= j triangle holds (array_bits + 1 - i) entries.
+  const std::size_t row = i;
+  auto& slot =
+      cache_[row * (array_bits_ + 1) - row * (row - 1) / 2 + (j - i)];
   const std::int32_t cached = slot.load(std::memory_order_relaxed);
   if (cached >= 0) return cached;
   cache_misses_.fetch_add(1, std::memory_order_relaxed);

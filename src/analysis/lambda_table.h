@@ -17,9 +17,14 @@ class ThreadPool;
 /// 1s under the null (no matching content) is hypergeometric; lambda_{i,j}
 /// is the smallest threshold with P[X(i,j) > lambda_{i,j}] <= p_star, making
 /// the per-row-pair false-alarm probability uniform regardless of row fill.
-/// Entries are computed lazily and cached (the scan touches only the narrow
-/// band of observed fills); the cache is lock-free and safe for concurrent
-/// readers.
+/// Entries are computed lazily (HypergeomUpperThreshold: one pmf-ratio pass,
+/// confirmed against the exact tail) and cached — the scan touches only the
+/// narrow band of observed fills. The cache stores the i <= j triangle only,
+/// (N+1)(N+2)/2 entries. Every entry is a pure function of (array_bits,
+/// p_star, i, j), so one table serves any number of graph builds with that
+/// key: DcsMonitor keeps its tables across epochs and rebuilds one only when
+/// the key changes, which makes steady-state calibration nearly free. The
+/// cache is lock-free and safe for concurrent readers.
 ///
 /// Deliberately lock-free — no dcs::Mutex, no DCS_GUARDED_BY: every cache
 /// slot is an independent atomic whose value is a pure function of its
@@ -70,7 +75,8 @@ class LambdaTable {
  private:
   std::size_t array_bits_;
   double p_star_;
-  // -1 = not yet computed. Benign duplicated computation on races.
+  // The i <= j triangle, row-major. -1 = not yet computed. Benign
+  // duplicated computation on races.
   mutable std::vector<std::atomic<std::int32_t>> cache_;
   mutable std::atomic<std::uint64_t> cache_misses_{0};
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -243,23 +244,76 @@ double LogHypergeomSf(std::int64_t x, std::int64_t big_n, std::int64_t i,
   return LogHypergeomRangeSum(lo, k_max, big_n, i, j);
 }
 
-std::int64_t HypergeomUpperThreshold(double p_star, std::int64_t big_n,
-                                     std::int64_t i, std::int64_t j) {
-  DCS_CHECK(p_star > 0.0 && p_star < 1.0);
-  const std::int64_t k_min = std::max<std::int64_t>(0, i + j - big_n);
-  const std::int64_t k_max = std::min(i, j);
-  const double log_p_star = std::log(p_star);
-  std::int64_t lo = k_min - 1;  // P[X > k_min - 1] = 1 > p_star.
-  std::int64_t hi = k_max;      // P[X > k_max] = 0 <= p_star.
-  while (lo + 1 < hi) {
+namespace {
+
+// The exact predicate every threshold answer must satisfy: P[X > x] <= p*.
+bool TailAtMost(std::int64_t x, double log_p_star, std::int64_t big_n,
+                std::int64_t i, std::int64_t j) {
+  return LogHypergeomSf(x, big_n, i, j) <= log_p_star;
+}
+
+// Smallest x in [k_min, k_max] with TailAtMost(x), by bisection on the
+// exact predicate: one full LogHypergeomSf per step.
+std::int64_t BisectUpperThreshold(double log_p_star, std::int64_t big_n,
+                                  std::int64_t i, std::int64_t j) {
+  std::int64_t lo = std::max<std::int64_t>(0, i + j - big_n) - 1;
+  std::int64_t hi = std::min(i, j);  // P[X > k_max] = 0 <= p_star.
+  while (lo + 1 < hi) {                // P[X > k_min - 1] = 1 > p_star.
     const std::int64_t mid = lo + (hi - lo) / 2;
-    if (LogHypergeomSf(mid, big_n, i, j) <= log_p_star) {
+    if (TailAtMost(mid, log_p_star, big_n, i, j)) {
       hi = mid;
     } else {
       lo = mid;
     }
   }
   return hi;
+}
+
+}  // namespace
+
+std::int64_t HypergeomUpperThreshold(double p_star, std::int64_t big_n,
+                                     std::int64_t i, std::int64_t j) {
+  DCS_CHECK(p_star > 0.0 && p_star < 1.0);
+  const std::int64_t k_min = std::max<std::int64_t>(0, i + j - big_n);
+  const std::int64_t k_max = std::min(i, j);
+  const double log_p_star = std::log(p_star);
+  if (k_min == k_max) return k_max;
+  // One pass: pmf terms from the mode up to k_max relative to pmf(mode),
+  // each from the last by the pmf ratio (one multiply, no log or lgamma),
+  // then the upper tail summed from the top down so the small terms are
+  // added first.
+  const std::int64_t mode = std::clamp<std::int64_t>(
+      (i + 1) * (j + 1) / (big_n + 2), k_min, k_max);
+  const double rel_p_star =
+      std::exp(log_p_star - LogHypergeomPmf(mode, big_n, i, j));
+  std::vector<double> rel{1.0};  // rel[k - mode] = pmf(k) / pmf(mode).
+  for (std::int64_t k = mode; k < k_max; ++k) {
+    const double ratio =
+        static_cast<double>(i - k) * static_cast<double>(j - k) /
+        (static_cast<double>(k + 1) *
+         static_cast<double>(big_n - i - j + k + 1));
+    const double next = rel.back() * ratio;
+    // The terms past the mode decay faster than geometrically; once one is
+    // this far below the level, the rest of the tail cannot move x.
+    if (next < 1e-30 * rel_p_star) break;
+    rel.push_back(next);
+  }
+  // Smallest x >= mode - 1 whose tail sum_{k > x} is <= p*. The walk starts
+  // past the last kept term, where the tail is empty or negligible.
+  std::int64_t x = mode + static_cast<std::int64_t>(rel.size()) - 1;
+  double tail = 0.0;
+  while (x >= mode && tail + rel[x - mode] <= rel_p_star) {
+    tail += rel[x - mode];
+    --x;
+  }
+  // Confirm with the exact predicate the bisection uses; a candidate below
+  // the mode or on the wrong side of a rounding boundary takes the slow
+  // path.
+  if (x >= mode && TailAtMost(x, log_p_star, big_n, i, j) &&
+      (x == k_min || !TailAtMost(x - 1, log_p_star, big_n, i, j))) {
+    return x;
+  }
+  return BisectUpperThreshold(log_p_star, big_n, i, j);
 }
 
 double NormalCdf(double z) {

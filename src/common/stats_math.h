@@ -48,7 +48,11 @@ double LogHypergeomSf(std::int64_t x, std::int64_t big_n, std::int64_t i,
                       std::int64_t j);
 
 /// Smallest threshold lambda such that P[X > lambda] <= p_star, i.e. the
-/// paper's per-row-pair threshold lambda_{i,j} (Section IV-B).
+/// paper's per-row-pair threshold lambda_{i,j} (Section IV-B). Solved in one
+/// pass (pmf-ratio walk up from the mode, tail summed top-down), then
+/// confirmed against LogHypergeomSf at lambda and lambda - 1; a candidate
+/// that fails the confirmation falls back to bisection on LogHypergeomSf, so
+/// the answer is always the one the exact predicate picks.
 std::int64_t HypergeomUpperThreshold(double p_star, std::int64_t big_n,
                                      std::int64_t i, std::int64_t j);
 

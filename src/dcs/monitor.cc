@@ -199,7 +199,15 @@ Status DcsMonitor::AddDigest(const Digest& digest) {
     // quarantined or duplicate sender cannot perturb the counts.
     incremental_weights_.AddRow(digest.rows.front());
   }
-  bucket->push_back(digest);
+  // Buckets stay in ascending router_id order (seen_ admits one digest per
+  // (kind, router), so the order is total): matrix rows, graph vertices and
+  // hence reports do not depend on arrival order. In-order arrival appends.
+  bucket->insert(
+      std::upper_bound(bucket->begin(), bucket->end(), digest.router_id,
+                       [](std::uint32_t id, const Digest& d) {
+                         return id < d.router_id;
+                       }),
+      digest);
   return Status::Ok();
 }
 
@@ -282,7 +290,7 @@ const std::vector<std::uint32_t>* DcsMonitor::AlignedHotWeights() const {
 
 BitMatrix DcsMonitor::StackAlignedMatrix() const {
   ScopedStageTimer timer("stack_matrix");
-  BitMatrix matrix;
+  BitMatrix matrix;  // One row per router, ascending router_id.
   for (const Digest& digest : aligned_) matrix.AppendRow(digest.rows.front());
   return matrix;
 }
@@ -340,10 +348,22 @@ AlignedReport DcsMonitor::AnalyzeAligned() const {
       calibration, matrix);
 }
 
+const LambdaTable& DcsMonitor::MemoizedLambda(
+    std::unique_ptr<LambdaTable>* memo, std::size_t array_bits,
+    double p_star) const {
+  // Exact key match: p_star is recomputed bit-identically from (n, options)
+  // each epoch, so any change — a missing router, new options — rebuilds.
+  if (*memo == nullptr || (*memo)->array_bits() != array_bits ||
+      (*memo)->p_star() != p_star) {
+    *memo = std::make_unique<LambdaTable>(array_bits, p_star);
+  }
+  return **memo;
+}
+
 void DcsMonitor::BuildUnalignedMatrix(
     BitMatrix* matrix, std::vector<GroupRef>* group_refs) const {
   // Merge digests vertically (Section IV-B): all rows, group-major, with a
-  // global group id per (router, group).
+  // global group id per (router, group), routers ascending.
   const std::size_t arrays = unaligned_.front().arrays_per_group;
   for (const Digest& digest : unaligned_) {
     DCS_CHECK(digest.rows.size() ==
@@ -370,8 +390,9 @@ std::vector<UnalignedReport> DcsMonitor::AnalyzeUnalignedAll(
   const std::size_t arrays = unaligned_.front().arrays_per_group;
   const double core_p1 =
       unaligned_options_.core_p1_times_n / static_cast<double>(n);
-  LambdaTable lambda_core(matrix.cols(),
-                          LambdaTable::PStarFromEdgeProb(core_p1, arrays));
+  const LambdaTable& lambda_core = MemoizedLambda(
+      &core_lambda_, matrix.cols(),
+      LambdaTable::PStarFromEdgeProb(core_p1, arrays));
   GraphBuilderOptions builder = unaligned_options_.builder;
   builder.arrays_per_group = arrays;
   const Graph core_graph =
@@ -427,7 +448,8 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
       unaligned_options_.er_p1_times_n / static_cast<double>(n);
   GraphBuilderOptions builder = unaligned_options_.builder;
   {
-    LambdaTable lambda(matrix.cols(),
+    const LambdaTable& lambda =
+        MemoizedLambda(&er_lambda_, matrix.cols(),
                        LambdaTable::PStarFromEdgeProb(er_p1, arrays));
     builder.arrays_per_group = arrays;
     Graph er_graph(0);
@@ -450,8 +472,9 @@ UnalignedReport DcsMonitor::AnalyzeUnaligned() const {
   // Core finding on the denser graph G' (lambda' from the larger p1).
   const double core_p1 =
       unaligned_options_.core_p1_times_n / static_cast<double>(n);
-  LambdaTable lambda_core(matrix.cols(),
-                          LambdaTable::PStarFromEdgeProb(core_p1, arrays));
+  const LambdaTable& lambda_core = MemoizedLambda(
+      &core_lambda_, matrix.cols(),
+      LambdaTable::PStarFromEdgeProb(core_p1, arrays));
   Graph core_graph(0);
   {
     ScopedStageTimer timer("core_graph");

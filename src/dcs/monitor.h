@@ -1,6 +1,7 @@
 #ifndef DCS_DCS_MONITOR_H_
 #define DCS_DCS_MONITOR_H_
 
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "common/status.h"
 #include "analysis/analysis_context.h"
 #include "analysis/incremental_weights.h"
+#include "analysis/lambda_table.h"
 #include "dcs/ingest.h"
 #include "dcs/options.h"
 #include "dcs/report.h"
@@ -138,12 +140,13 @@ class DcsMonitor {
   }
 
  private:
-  // Stacks the unaligned digests group-major and fills the (router, group)
-  // identity of every graph vertex.
+  // Stacks the unaligned digests group-major, routers ascending, and fills
+  // the (router, group) identity of every graph vertex.
   void BuildUnalignedMatrix(BitMatrix* matrix,
                             std::vector<GroupRef>* group_refs) const;
 
-  // Stacks one row per aligned digest (timed as stack_matrix).
+  // Stacks one row per aligned digest, routers ascending (timed as
+  // stack_matrix).
   BitMatrix StackAlignedMatrix() const;
 
   // The report for one detection over `matrix`: detection rows mapped to
@@ -164,10 +167,17 @@ class DcsMonitor {
   // rows, else nullptr (cold screen).
   const std::vector<std::uint32_t>* AlignedHotWeights() const;
 
+  // The lambda table in *memo when it was built for (array_bits, p_star),
+  // else a fresh one stored there.
+  const LambdaTable& MemoizedLambda(std::unique_ptr<LambdaTable>* memo,
+                                    std::size_t array_bits,
+                                    double p_star) const;
+
   AlignedPipelineOptions aligned_options_;
   UnalignedPipelineOptions unaligned_options_;
   AnalysisContext context_;
   IngestOptions ingest_options_;
+  // Accepted digests, each bucket in ascending router_id order.
   std::vector<Digest> aligned_;
   std::vector<Digest> unaligned_;
   IncrementalColumnWeights incremental_weights_;
@@ -181,6 +191,20 @@ class DcsMonitor {
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen_;  // (kind, router)
   bool epoch_locked_ = false;
   std::uint64_t reference_epoch_ = 0;
+
+  // Lambda tables kept across epochs, one per graph role: the sparse ER
+  // graph and the denser core graph (shared by AnalyzeUnalignedAll). Each is
+  // keyed by (array_bits, p_star) and every entry is a pure function of the
+  // key, so reuse cannot change a report; ClearEpoch() keeps them.
+  //
+  // Deliberately unlocked — no dcs::Mutex, no DCS_GUARDED_BY: only the
+  // Analyze* methods touch the memo, and analysis of one monitor has a
+  // single caller (EpochRing closes its slots serially on one thread; a
+  // one-shot monitor is analyzed by its owner). The pooled pair scan inside
+  // one analysis only reads a table, through LambdaTable's own lock-free
+  // cache.
+  mutable std::unique_ptr<LambdaTable> er_lambda_;
+  mutable std::unique_ptr<LambdaTable> core_lambda_;
 };
 
 }  // namespace dcs

@@ -78,7 +78,8 @@ struct Digest {
   [[nodiscard]] static Status Decode(const std::vector<std::uint8_t>& bytes,
                                      Digest* out);
 
-  /// Size of the encoded form (equals Encode().size()).
+  /// Size of the encoded form (equals Encode().size()), computed from the
+  /// codec's row policy without encoding.
   [[nodiscard]] std::size_t EncodedSizeBytes() const;
 
   /// raw_bytes_covered / encoded size — the paper's compression factor.

@@ -1,5 +1,6 @@
 #include "sketch/digest_codec.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/hash.h"
@@ -59,27 +60,37 @@ bool TakeVarint(const std::vector<std::uint8_t>& in, std::size_t* pos,
   return false;  // Over-long varint.
 }
 
-// The varint-delta set-bit form (RowWire::kSparse), without its tag byte.
-std::vector<std::uint8_t> BuildSparseCandidate(const BitVector& row) {
-  std::vector<std::uint8_t> sparse;
-  std::vector<std::size_t> indices;
-  row.AppendSetBits(&indices);
-  AppendVarint(&sparse, indices.size());
-  std::size_t prev = 0;
-  for (std::size_t idx : indices) {
-    AppendVarint(&sparse, idx - prev);  // First gap is the index itself.
-    prev = idx;
-  }
-  return sparse;
+std::size_t VarintBytes(std::uint64_t v) {
+  std::size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
 }
 
-// The zero-run RLE form (RowWire::kRle), without its tag byte: a sequence
-// of (varint zero-word run, varint literal-word run, literal words) tokens
-// covering every backing word exactly once. A canonical encoder splits on
-// every zero word — a 2-byte token is always cheaper than an 8-byte zero
-// literal — so literal runs contain only non-zero words.
-std::vector<std::uint8_t> BuildRleCandidate(const BitVector& row) {
-  std::vector<std::uint8_t> rle;
+// Calls visit(gap) for every set bit of `row`, ascending: the gap to the
+// previous set bit, the first gap being the index itself. These gaps are
+// the varint-delta set-bit form (RowWire::kSparse), after its count.
+template <typename Visit>
+void ForEachSetBitGap(const BitVector& row, Visit visit) {
+  const std::uint64_t* words = row.words();
+  std::size_t prev = 0;
+  for (std::size_t w = 0; w < row.num_words(); ++w) {
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const std::size_t idx =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      visit(idx - prev);
+      prev = idx;
+    }
+  }
+}
+
+// Calls visit(zeros, first_literal, literals) for every token of the
+// zero-run RLE form (RowWire::kRle): a sequence of (varint zero-word run,
+// varint literal-word run, literal words) tokens covering every backing
+// word exactly once. A canonical encoder splits on every zero word — a
+// 2-byte token is always cheaper than an 8-byte zero literal — so literal
+// runs contain only non-zero words.
+template <typename Visit>
+void ForEachRleToken(const BitVector& row, Visit visit) {
   const std::uint64_t* words = row.words();
   const std::size_t num_words = row.num_words();
   std::size_t w = 0;
@@ -90,14 +101,48 @@ std::vector<std::uint8_t> BuildRleCandidate(const BitVector& row) {
     while (w + zeros + literals < num_words && words[w + zeros + literals] != 0) {
       ++literals;
     }
-    AppendVarint(&rle, zeros);
-    AppendVarint(&rle, literals);
-    for (std::size_t i = 0; i < literals; ++i) {
-      AppendU64(&rle, words[w + zeros + i]);
-    }
+    visit(zeros, words + w + zeros, literals);
     w += zeros + literals;
   }
-  return rle;
+}
+
+std::size_t SparseBodyBytes(const BitVector& row, std::size_t ones) {
+  std::size_t bytes = VarintBytes(ones);
+  ForEachSetBitGap(row, [&](std::size_t gap) { bytes += VarintBytes(gap); });
+  return bytes;
+}
+
+std::size_t RleBodyBytes(const BitVector& row) {
+  std::size_t bytes = 0;
+  ForEachRleToken(row, [&](std::size_t zeros, const std::uint64_t*,
+                           std::size_t literals) {
+    bytes += VarintBytes(zeros) + VarintBytes(literals) + 8 * literals;
+  });
+  return bytes;
+}
+
+// How the kSparse codec writes one row: its tag and the body size after it.
+struct RowForm {
+  std::uint8_t tag;
+  std::size_t body_bytes;
+};
+
+// The kSparse codec's row policy — the only copy of its tie-breaks, shared
+// by EncodeRow and PayloadSizeBytes. Ties keep pre-RLE encodings stable:
+// sparse only when strictly smaller than dense (the historical rule), RLE
+// only when strictly smaller than both.
+RowForm ChooseRowForm(const BitVector& row) {
+  const std::size_t dense = row.num_words() * 8;
+  const std::size_t ones = row.CountOnes();
+  // A sparse body spends at least one byte on the count and one per index,
+  // so at ones + 1 >= dense it cannot win; standing in `dense` for its size
+  // then leaves every comparison below unchanged and skips the bit walk.
+  const std::size_t sparse = ones + 1 < dense ? SparseBodyBytes(row, ones)
+                                              : dense;
+  const std::size_t rle = RleBodyBytes(row);
+  if (rle < dense && rle < sparse) return {RowWire::kRle, rle};
+  if (sparse < dense) return {RowWire::kSparse, sparse};
+  return {RowWire::kDense, dense};
 }
 
 void AppendDenseRow(const BitVector& row, std::vector<std::uint8_t>* out) {
@@ -215,27 +260,22 @@ bool KnownDigestCodecId(std::uint8_t raw) {
 
 void EncodeRow(const BitVector& row, DigestCodecId codec,
                std::vector<std::uint8_t>* out) {
-  if (codec == DigestCodecId::kRaw) {
-    AppendDenseRow(row, out);
-    return;
-  }
-  const std::size_t dense_bytes = row.num_words() * 8;
-  const std::vector<std::uint8_t> sparse = BuildSparseCandidate(row);
-  const std::vector<std::uint8_t> rle = BuildRleCandidate(row);
-  // Tie-breaks keep pre-RLE encodings stable: sparse only when strictly
-  // smaller than dense (the historical rule), RLE only when strictly
-  // smaller than both.
-  const std::uint8_t tag = rle.size() < dense_bytes && rle.size() < sparse.size()
-                               ? RowWire::kRle
-                           : sparse.size() < dense_bytes ? RowWire::kSparse
-                                                         : RowWire::kDense;
+  const std::uint8_t tag =
+      codec == DigestCodecId::kRaw ? RowWire::kDense : ChooseRowForm(row).tag;
   if (tag == RowWire::kDense) {
     AppendDenseRow(row, out);
+  } else if (tag == RowWire::kSparse) {
+    out->push_back(tag);
+    AppendVarint(out, row.CountOnes());
+    ForEachSetBitGap(row, [&](std::size_t gap) { AppendVarint(out, gap); });
   } else {
     out->push_back(tag);
-    const std::vector<std::uint8_t>& body =
-        tag == RowWire::kRle ? rle : sparse;
-    out->insert(out->end(), body.begin(), body.end());
+    ForEachRleToken(row, [&](std::size_t zeros, const std::uint64_t* literal,
+                             std::size_t literals) {
+      AppendVarint(out, zeros);
+      AppendVarint(out, literals);
+      for (std::size_t i = 0; i < literals; ++i) AppendU64(out, literal[i]);
+    });
   }
 }
 
@@ -283,8 +323,8 @@ std::vector<std::uint8_t> EncodeDigestPayload(const Digest& digest,
   }
   AppendU64(&out,
             Hash64(out.data(), out.size(), /*seed=*/DigestWireLayout::kMagic));
-  // NOTE: EncodedSizeBytes() re-encodes, so these also count its calls — a
-  // visible hint that callers doing size accounting pay the full encode.
+  // Real encodes only: size accounting (Digest::EncodedSizeBytes,
+  // PayloadSizeBytes) computes sizes without coming through here.
   ObsCounter("digest.encode.calls").Increment();
   ObsCounter("digest.encode.bytes").Add(out.size());
   return out;
@@ -363,29 +403,33 @@ Status DecodeDigestPayload(const std::vector<std::uint8_t>& bytes,
   return Status::Ok();
 }
 
-std::size_t RawPayloadSizeBytes(const Digest& digest) {
+std::size_t PayloadSizeBytes(const Digest& digest, DigestCodecId codec) {
   std::size_t rows = 0;
   for (const BitVector& row : digest.rows) {
-    rows += 1 + row.num_words() * 8;  // Tag byte + dense words.
+    rows += 1 + (codec == DigestCodecId::kRaw ? row.num_words() * 8
+                                              : ChooseRowForm(row).body_bytes);
   }
   return DigestWireLayout::kHeaderBytes + rows +
          DigestWireLayout::kChecksumBytes;
 }
 
+std::size_t RawPayloadSizeBytes(const Digest& digest) {
+  return PayloadSizeBytes(digest, DigestCodecId::kRaw);
+}
+
 DigestCodecId EncodeDigestPayloadAuto(const Digest& digest,
                                       std::vector<std::uint8_t>* out) {
   DCS_CHECK(out != nullptr);
-  std::vector<std::uint8_t> sparse =
-      EncodeDigestPayload(digest, DigestCodecId::kSparse);
+  const std::size_t sparse_size =
+      PayloadSizeBytes(digest, DigestCodecId::kSparse);
   const std::size_t raw_size = RawPayloadSizeBytes(digest);
   // Keep the compressed form only when it pays for itself on the WAN: a
   // saving under 1/16 of the dense size is not worth the slower decode.
-  if (sparse.size() + raw_size / 16 <= raw_size) {
-    *out = std::move(sparse);
-    return DigestCodecId::kSparse;
-  }
-  *out = EncodeDigestPayload(digest, DigestCodecId::kRaw);
-  return DigestCodecId::kRaw;
+  const DigestCodecId codec = sparse_size + raw_size / 16 <= raw_size
+                                  ? DigestCodecId::kSparse
+                                  : DigestCodecId::kRaw;
+  *out = EncodeDigestPayload(digest, codec);
+  return codec;
 }
 
 }  // namespace dcs

@@ -57,15 +57,21 @@ struct RowWire {
 [[nodiscard]] Status DecodeDigestPayload(const std::vector<std::uint8_t>& bytes,
                                          DigestCodecId codec, Digest* out);
 
-/// The payload size EncodeDigestPayload(digest, kRaw) would produce,
-/// without encoding — the dense wire size the sparse codec's savings are
-/// measured against.
+/// The payload size EncodeDigestPayload(digest, codec) would produce,
+/// without encoding: per row, its tag byte plus the body EncodeRow would
+/// pick by the same row policy.
+[[nodiscard]] std::size_t PayloadSizeBytes(const Digest& digest,
+                                           DigestCodecId codec);
+
+/// PayloadSizeBytes(digest, kRaw) — the dense wire size the sparse codec's
+/// savings are measured against.
 [[nodiscard]] std::size_t RawPayloadSizeBytes(const Digest& digest);
 
-/// Per-frame negotiation: encodes with kSparse, and keeps it only when it
-/// saves at least 1/16 of the dense size (otherwise the fixed-size raw form
-/// wins — its decode path is a straight word copy). Returns the chosen
-/// codec and fills *out with the matching payload.
+/// Per-frame negotiation: picks kSparse only when it saves at least 1/16 of
+/// the dense size (otherwise the fixed-size raw form wins — its decode path
+/// is a straight word copy), decided from PayloadSizeBytes, and encodes
+/// once. Returns the chosen codec and fills *out with the matching
+/// payload.
 DigestCodecId EncodeDigestPayloadAuto(const Digest& digest,
                                       std::vector<std::uint8_t>* out);
 

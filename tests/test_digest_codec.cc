@@ -6,6 +6,7 @@
 // digest, never a larger wire image than it needs, strict rejection of rows
 // a codec is not allowed to emit.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -210,6 +211,80 @@ TEST(DigestCodecTest, DigestEncodeIsTheSparsePayload) {
     EXPECT_EQ(digest.Encode(),
               EncodeDigestPayload(digest, DigestCodecId::kSparse));
   }
+}
+
+// One row of `bits` bits in one of the shapes the row policy must size
+// exactly: empty, one bit, full, word-clustered (RLE wins), scattered at a
+// random fill (sparse or dense wins).
+BitVector ShapedRow(std::size_t bits, int shape, Rng* rng) {
+  BitVector row(bits);
+  switch (shape) {
+    case 0:
+      break;
+    case 1:
+      row.Set(rng->UniformInt(bits));
+      break;
+    case 2:
+      for (std::size_t i = 0; i < bits; ++i) row.Set(i);
+      break;
+    case 3: {
+      // A few fully-set words in a sea of zero words.
+      const std::size_t start = rng->UniformInt(bits);
+      for (std::size_t i = start; i < std::min(bits, start + 128); ++i) {
+        row.Set(i);
+      }
+      break;
+    }
+    default: {
+      const double fill = rng->UniformDouble() * 0.6;
+      for (std::size_t i = 0; i < bits; ++i) {
+        if (rng->UniformDouble() < fill) row.Set(i);
+      }
+      break;
+    }
+  }
+  return row;
+}
+
+// Size accounting never encodes, so it must agree with the encoder byte for
+// byte: EncodedSizeBytes() == Encode().size() and PayloadSizeBytes matches
+// both codecs, over aligned and unaligned shapes, ragged tails included,
+// with every row form (dense, sparse, RLE) exercised.
+TEST(DigestCodecTest, PayloadSizeMatchesEncodedSize) {
+  Rng rng(29);
+  std::size_t tags_seen[3] = {0, 0, 0};
+  for (const std::size_t bits : {1u, 63u, 64u, 65u, 1000u, 1024u, 4097u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const bool aligned = trial % 2 == 0;
+      Digest digest;
+      digest.kind = aligned ? DigestKind::kAligned : DigestKind::kUnaligned;
+      digest.router_id = static_cast<std::uint32_t>(trial);
+      digest.num_groups = aligned ? 1 : 3;
+      digest.arrays_per_group = aligned ? 1 : 4;
+      const std::size_t rows = aligned ? 1 : 12;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const int shape = aligned ? trial / 2 % 5
+                                  : static_cast<int>(rng.UniformInt(5));
+        digest.rows.push_back(ShapedRow(bits, shape, &rng));
+        std::vector<std::uint8_t> one;
+        EncodeRow(digest.rows.back(), DigestCodecId::kSparse, &one);
+        ++tags_seen[one.front()];
+      }
+      const std::vector<std::uint8_t> encoded = digest.Encode();
+      EXPECT_EQ(digest.EncodedSizeBytes(), encoded.size())
+          << "bits=" << bits << " trial=" << trial;
+      for (const DigestCodecId codec :
+           {DigestCodecId::kRaw, DigestCodecId::kSparse}) {
+        EXPECT_EQ(PayloadSizeBytes(digest, codec),
+                  EncodeDigestPayload(digest, codec).size())
+            << "bits=" << bits << " trial=" << trial << " codec="
+            << DigestCodecName(codec);
+      }
+    }
+  }
+  EXPECT_GT(tags_seen[RowWire::kDense], 0u);
+  EXPECT_GT(tags_seen[RowWire::kSparse], 0u);
+  EXPECT_GT(tags_seen[RowWire::kRle], 0u);
 }
 
 // --- Row-level strictness -------------------------------------------------

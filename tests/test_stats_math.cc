@@ -1,6 +1,9 @@
 #include "common/stats_math.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -144,6 +147,104 @@ TEST(HypergeomUpperThresholdTest, ThresholdIsTight) {
   // above the mean.
   EXPECT_GT(lambda, 256 + 3 * 8);
   EXPECT_LT(lambda, 256 + 6 * 8);
+}
+
+// The bisection HypergeomUpperThreshold used before its one-pass solve,
+// kept here verbatim as the oracle: one LogHypergeomSf per step.
+std::int64_t BisectionThreshold(double p_star, std::int64_t big_n,
+                                std::int64_t i, std::int64_t j) {
+  const std::int64_t k_min = std::max<std::int64_t>(0, i + j - big_n);
+  const std::int64_t k_max = std::min(i, j);
+  const double log_p_star = std::log(p_star);
+  std::int64_t lo = k_min - 1;
+  std::int64_t hi = k_max;
+  while (lo + 1 < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (LogHypergeomSf(mid, big_n, i, j) <= log_p_star) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+// Mismatches against the oracle over 0 <= i <= j <= big_n, with j stepping
+// by `j_stride` (and always including j = big_n).
+std::size_t ThresholdMismatches(double p_star, std::int64_t big_n,
+                                std::int64_t j_stride) {
+  std::size_t mismatches = 0;
+  for (std::int64_t i = 0; i <= big_n; ++i) {
+    for (std::int64_t j = i; j <= big_n;
+         j = j == big_n ? big_n + 1 : std::min(big_n, j + j_stride)) {
+      const std::int64_t want = BisectionThreshold(p_star, big_n, i, j);
+      const std::int64_t got = HypergeomUpperThreshold(p_star, big_n, i, j);
+      if (got != want) {
+        ++mismatches;
+        ADD_FAILURE() << "N=" << big_n << " p*=" << p_star << " i=" << i
+                      << " j=" << j << ": got " << got << ", want " << want;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// The p* levels of pipebench's unaligned workloads: n in {128, 768}
+// vertices at null edge probability p1 * n in {0.665, 8.2}, 10 arrays per
+// group (p* = 1 - (1 - p1)^(1/100), LambdaTable::PStarFromEdgeProb).
+std::vector<double> PipelinePStars() {
+  std::vector<double> p_stars;
+  for (const double n : {128.0, 768.0}) {
+    for (const double p1_times_n : {0.665, 8.2}) {
+      p_stars.push_back(-std::expm1(std::log1p(-p1_times_n / n) / 100.0));
+    }
+  }
+  return p_stars;
+}
+
+// The one-pass solve returns exactly the bisection's threshold on every
+// pair at small N.
+TEST(HypergeomUpperThresholdTest, MatchesBisectionExhaustively) {
+  for (const std::int64_t big_n : {64, 256}) {
+    for (const double p_star : {1e-2, 1e-3, 1e-5, 1e-7}) {
+      EXPECT_EQ(ThresholdMismatches(p_star, big_n, 1), 0u)
+          << "N=" << big_n << " p*=" << p_star;
+    }
+  }
+}
+
+// Paper-sized rows at the pipeline's p* levels, every i and a j-stride
+// sample (the full sweep is DISABLED_MatchesBisectionFullSweepAtPaperSize).
+TEST(HypergeomUpperThresholdTest, MatchesBisectionSampledAtPaperSize) {
+  for (const double p_star : PipelinePStars()) {
+    EXPECT_EQ(ThresholdMismatches(p_star, 1024, 61), 0u) << "p*=" << p_star;
+  }
+}
+
+// Every 0 <= i <= j <= 1024 at the pipeline's p* levels (2.1 M pairs; about
+// 10 s optimized, far longer under the sanitizers), so run by hand:
+//   test_stats_math --gtest_also_run_disabled_tests --gtest_filter='*FullSweep*'
+TEST(HypergeomUpperThresholdTest,
+     DISABLED_MatchesBisectionFullSweepAtPaperSize) {
+  for (const double p_star : PipelinePStars()) {
+    EXPECT_EQ(ThresholdMismatches(p_star, 1024, 1), 0u) << "p*=" << p_star;
+  }
+}
+
+// Degenerate supports: a single-point distribution, and a p* so loose that
+// the threshold sits at or below the mode (the bisection fallback).
+TEST(HypergeomUpperThresholdTest, DegenerateAndLoosePStar) {
+  EXPECT_EQ(HypergeomUpperThreshold(1e-5, 100, 0, 40), 0);
+  EXPECT_EQ(HypergeomUpperThreshold(1e-5, 100, 100, 40), 40);
+  EXPECT_EQ(HypergeomUpperThreshold(1e-5, 100, 70, 80),
+            BisectionThreshold(1e-5, 100, 70, 80));
+  for (const double p_star : {0.3, 0.5, 0.9}) {
+    for (const std::int64_t i : {1, 10, 50, 99}) {
+      EXPECT_EQ(HypergeomUpperThreshold(p_star, 100, i, 50),
+                BisectionThreshold(p_star, 100, i, 50))
+          << "p*=" << p_star << " i=" << i;
+    }
+  }
 }
 
 TEST(NormalCdfTest, StandardValues) {
