@@ -17,18 +17,15 @@
 // on a single-core container the multi-thread rows measure the pool's
 // scheduling overhead, not scaling.
 //
-// Flags:
+// Flags (strict, bench::FinishFlags: a bad flag exits 2):
 //   --smoke        Small frame count (the CI perf-gate pass).
-//   --out <path>   Machine-readable results as JSON lines (default
-//                  BENCH_ingest_scaling.json in the working directory).
+//   --out <path>   JSON-lines snapshot (default BENCH_ingest_scaling.json).
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -45,7 +42,6 @@
 #include "netio/dispatch.h"
 #include "netio/frame.h"
 #include "netio/ingest_server.h"
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -174,18 +170,12 @@ double RunOnce(std::size_t server_threads,
 
 int main(int argc, char** argv) {
   using namespace dcs;
-  bool smoke = false;
-  std::string out_path = "BENCH_ingest_scaling.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::printf("usage: %s [--smoke] [--out <path>]\n", argv[0]);
-      return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
-    }
-  }
+  Flags flags(argc, argv, 1);
+  const bool smoke = flags.Switch("smoke");
+  const std::string out_path = flags.String("out", "BENCH_ingest_scaling.json");
+  const int rc =
+      bench::FinishFlags(flags, argv[0], "[--smoke] [--out <path>]");
+  if (rc >= 0) return rc;
 
   const BenchScale scale = BenchScaleFromEnv();
   bench::Banner("ingest plane", "multi-threaded server strong scaling",
@@ -240,15 +230,5 @@ int main(int argc, char** argv) {
               "differential suite, not here.\n",
               static_cast<unsigned long long>(total_frames));
 
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << SnapshotToJsonLines(snapshot);
-  out.close();
-  std::printf("wrote %zu metrics to %s\n", snapshot.entries.size(),
-              out_path.c_str());
-  return 0;
+  return bench::WriteSnapshot(out_path);
 }

@@ -6,15 +6,11 @@
 // bit-identical before reporting a speedup (a fast wrong answer would be
 // worthless).
 //
-// Flags:
+// Flags (strict, bench::FinishFlags: a bad flag exits 2):
 //   --smoke        128-group scenario (the CI scalar-kernels pass).
-//   --out <path>   Where to write the machine-readable results as JSON
-//                  lines via the obs exporter (default
-//                  BENCH_parallel_unaligned.json in the working directory).
+//   --out <path>   JSON-lines snapshot (default BENCH_parallel_unaligned.json).
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -27,7 +23,6 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -80,18 +75,13 @@ void RecordGauge(std::size_t groups, const std::string& threads,
 
 int main(int argc, char** argv) {
   using namespace dcs;
-  bool smoke = false;
-  std::string out_path = "BENCH_parallel_unaligned.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::printf("usage: %s [--smoke] [--out <path>]\n", argv[0]);
-      return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
-    }
-  }
+  Flags flags(argc, argv, 1);
+  const bool smoke = flags.Switch("smoke");
+  const std::string out_path =
+      flags.String("out", "BENCH_parallel_unaligned.json");
+  const int rc =
+      bench::FinishFlags(flags, argv[0], "[--smoke] [--out <path>]");
+  if (rc >= 0) return rc;
 
   const BenchScale scale = BenchScaleFromEnv();
   bench::Banner("Section IV-D", "unaligned-analysis strong scaling", scale);
@@ -196,15 +186,5 @@ int main(int argc, char** argv) {
       "the machine's core count: on a single-core container every row\n"
       "measures scheduling overhead, not scaling.\n");
 
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << SnapshotToJsonLines(snapshot);
-  out.close();
-  std::printf("wrote %zu metrics to %s\n", snapshot.entries.size(),
-              out_path.c_str());
-  return 0;
+  return bench::WriteSnapshot(out_path);
 }

@@ -9,14 +9,11 @@
 // many routers cheap, and a fast codec that stopped compressing would
 // regress the distributed plane silently.
 //
-// Flags:
+// Flags (strict, bench::FinishFlags: a bad flag exits 2):
 //   --smoke        short run for CI (fewer packets per path).
-//   --out <path>   machine-readable results as JSON lines via the obs
-//                  exporter (default BENCH_sketch_throughput.json).
+//   --out <path>   JSON-lines snapshot (default BENCH_sketch_throughput.json).
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,7 +23,6 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "net/packet.h"
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "sketch/bitmap_sketch.h"
 #include "sketch/digest.h"
@@ -97,18 +93,13 @@ Digest DigestAtFill(std::size_t row_bits, double fill, Rng* rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out_path = "BENCH_sketch_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::printf("usage: %s [--smoke] [--out <path>]\n", argv[0]);
-      return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
-    }
-  }
+  Flags flags(argc, argv, 1);
+  const bool smoke = flags.Switch("smoke");
+  const std::string out_path =
+      flags.String("out", "BENCH_sketch_throughput.json");
+  const int rc =
+      bench::FinishFlags(flags, argv[0], "[--smoke] [--out <path>]");
+  if (rc >= 0) return rc;
 
   const BenchScale scale = BenchScaleFromEnv();
   bench::Banner("Section III-A", "per-packet update paths + digest codec",
@@ -236,15 +227,5 @@ int main(int argc, char** argv) {
       "%.0f MB/s of dense-equivalent bitmap state.\n",
       reduction_at_1pct, sparse_encode_mb_per_sec);
 
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << SnapshotToJsonLines(snapshot);
-  out.close();
-  std::printf("wrote %zu metrics to %s\n", snapshot.entries.size(),
-              out_path.c_str());
-  return 0;
+  return bench::WriteSnapshot(out_path);
 }

@@ -7,15 +7,13 @@
 // pattern stops being detected: a fast leaky ring, or a fast blind one,
 // would be worthless.
 //
-// Flags:
+// Flags (strict, bench::FinishFlags: a bad flag exits 2):
 //   --smoke        short run for CI (200 epochs).
 //   --epochs <n>   override the epoch count.
-//   --out <path>   machine-readable results as JSON lines via the obs
-//                  exporter (default BENCH_soak.json).
+//   --out <path>   JSON-lines snapshot (default BENCH_soak.json).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -25,7 +23,6 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "dcs/epoch_ring.h"
-#include "obs/exporter.h"
 #include "obs/metrics.h"
 
 namespace {
@@ -63,10 +60,12 @@ dcs::Digest SynthesizeDigest(std::uint64_t epoch, std::uint32_t router) {
 // unavailable (non-Linux), which disables the plateau gate.
 double PeakRssMb() {
   std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+  std::string field;
+  while (status >> field) {
+    if (field == "VmHWM:") {
+      double kib = 0.0;
+      status >> kib;
+      return kib / 1024.0;
     }
   }
   return 0.0;
@@ -84,24 +83,14 @@ double Percentile(std::vector<double> sorted_copy, double p) {
 
 int main(int argc, char** argv) {
   using namespace dcs;
-  bool smoke = false;
+  Flags flags(argc, argv, 1);
+  const bool smoke = flags.Switch("smoke");
   std::uint64_t num_epochs = 0;
-  std::string out_path = "BENCH_soak.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--epochs") == 0 && i + 1 < argc) {
-      num_epochs = static_cast<std::uint64_t>(
-          std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::printf("usage: %s [--smoke] [--epochs <n>] [--out <path>]\n",
-                  argv[0]);
-      return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
-    }
-  }
-  if (num_epochs == 0) num_epochs = smoke ? 200 : 1200;
+  flags.Int("epochs", smoke ? 200 : 1200, 1, kNoMax, &num_epochs);
+  const std::string out_path = flags.String("out", "BENCH_soak.json");
+  const int rc = bench::FinishFlags(flags, argv[0],
+                                    "[--smoke] [--epochs <n>] [--out <path>]");
+  if (rc >= 0) return rc;
 
   const BenchScale scale = BenchScaleFromEnv();
   bench::Banner("Section V-B.1", "sustained-operation soak (EpochRing)",
@@ -218,15 +207,5 @@ int main(int argc, char** argv) {
                : 0.0);
   ObsGauge("bench.soak.total_s").Set(total_s);
 
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "FATAL: cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  out << SnapshotToJsonLines(snapshot);
-  out.close();
-  std::printf("wrote %zu metrics to %s\n", snapshot.entries.size(),
-              out_path.c_str());
-  return 0;
+  return bench::WriteSnapshot(out_path);
 }

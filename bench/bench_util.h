@@ -7,6 +7,8 @@
 #include <string>
 
 #include "common/config.h"
+#include "obs/exporter.h"
+#include "obs/metrics.h"
 
 namespace dcs {
 namespace bench {
@@ -42,6 +44,31 @@ inline int Trials(BenchScale scale, int small_default, int paper_default) {
   const std::int64_t env = EnvInt64("DCS_TRIALS", 0);
   if (env > 0) return static_cast<int>(env);
   return scale == BenchScale::kPaper ? paper_default : small_default;
+}
+
+/// Ends a bench's flag reading (dcs::Flags): returns -1 to run the bench, 0
+/// after printing `usage` for --help, and 2 after a flag error.
+inline int FinishFlags(Flags& flags, const char* argv0, const char* usage) {
+  const bool help = flags.Switch("help");
+  const Status status = flags.Finish();
+  if (!help && status.ok()) return -1;
+  if (!help) std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::printf("usage: %s %s\n", argv0, usage);
+  return help ? 0 : 2;
+}
+
+/// Writes the global registry's snapshot to `path` as JSON lines and
+/// returns the bench's exit code: 0, or 1 when the file cannot be written.
+inline int WriteSnapshot(const std::string& path) {
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const Status status = WriteSnapshotFile(snapshot, path);
+  if (!status.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  std::printf("wrote %zu metrics to %s\n", snapshot.entries.size(),
+              path.c_str());
+  return 0;
 }
 
 }  // namespace bench

@@ -302,8 +302,9 @@ std::int64_t HypergeomUpperThreshold(double p_star, std::int64_t big_n,
   // past the last kept term, where the tail is empty or negligible.
   std::int64_t x = mode + static_cast<std::int64_t>(rel.size()) - 1;
   double tail = 0.0;
-  while (x >= mode && tail + rel[x - mode] <= rel_p_star) {
-    tail += rel[x - mode];
+  while (x >= mode &&
+         tail + rel[static_cast<std::size_t>(x - mode)] <= rel_p_star) {
+    tail += rel[static_cast<std::size_t>(x - mode)];
     --x;
   }
   // Confirm with the exact predicate the bisection uses; a candidate below

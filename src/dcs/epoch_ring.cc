@@ -1,6 +1,7 @@
 #include "dcs/epoch_ring.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,6 +20,19 @@ const char* ShedPolicyName(ShedPolicy policy) {
       return "degrade";
   }
   return "unknown";
+}
+
+Status ParseShedPolicy(std::string_view name, ShedPolicy* out) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kBlock, ShedPolicy::kDropOldest, ShedPolicy::kDegrade}) {
+    if (name == ShedPolicyName(policy)) {
+      *out = policy;
+      return Status::Ok();
+    }
+  }
+  return Status::InvalidArgument(
+      "shed policy must be block|drop-oldest|degrade, got " +
+      std::string(name));
 }
 
 EpochRing::EpochRing(const EpochRingOptions& options)

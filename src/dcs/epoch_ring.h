@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -34,6 +35,14 @@ enum class ShedPolicy {
 };
 
 const char* ShedPolicyName(ShedPolicy policy);
+
+/// Inverse of ShedPolicyName: sets `*out` for "block", "drop-oldest" or
+/// "degrade"; InvalidArgument for any other name.
+Status ParseShedPolicy(std::string_view name, ShedPolicy* out);
+
+/// Largest capacity a command line may ask for: the ring allocates every
+/// slot up front.
+inline constexpr std::int64_t kMaxRingCapacity = 4096;
 
 /// Configuration of the continuous-operation ring.
 struct EpochRingOptions {

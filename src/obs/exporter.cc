@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string_view>
 
 #include "common/table_printer.h"
@@ -138,6 +139,14 @@ std::string SnapshotToJsonLines(const MetricsSnapshot& snapshot) {
     out += "}\n";
   }
   return out;
+}
+
+Status WriteSnapshotFile(const MetricsSnapshot& snapshot,
+                         const std::string& path) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << SnapshotToJsonLines(snapshot);
+  out.close();
+  return out ? Status::Ok() : Status::IoError("cannot write " + path);
 }
 
 Status ParseJsonLines(const std::string& text, MetricsSnapshot* out) {

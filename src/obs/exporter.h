@@ -22,6 +22,11 @@ namespace dcs {
 /// log2 bucket; p50/p99 are bucket upper bounds.
 std::string SnapshotToJsonLines(const MetricsSnapshot& snapshot);
 
+/// Writes SnapshotToJsonLines(snapshot) to `path`, replacing the file: the
+/// one way tools and benches save a snapshot. IoError when it cannot.
+Status WriteSnapshotFile(const MetricsSnapshot& snapshot,
+                         const std::string& path);
+
 /// Parses text produced by SnapshotToJsonLines back into a snapshot
 /// (exporter round-trip; also lets tools re-read their own dumps). Lines
 /// must carry a uniform "epoch". Unknown fields are ignored.

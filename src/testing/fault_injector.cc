@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/config.h"
 #include "common/logging.h"
 #include "netio/frame.h"
 #include "sketch/digest.h"
@@ -80,11 +81,13 @@ Status FaultSpec::Parse(const std::string& text, FaultSpec* out) {
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    char* end = nullptr;
-    if (key == "seed") {
-      spec.seed = std::strtoull(value.c_str(), &end, 10);
-    } else {
-      const double p = std::strtod(value.c_str(), &end);
+    double p = 0.0;
+    const bool parsed = key == "seed" ? ParseNumber(value, &spec.seed)
+                                      : ParseNumber(value, &p);
+    if (!parsed) {
+      return Status::InvalidArgument("bad fault spec value: " + item);
+    }
+    if (key != "seed") {
       if (p < 0.0 || p > 1.0) {
         return Status::InvalidArgument("fault probability out of [0,1]: " +
                                        item);
@@ -108,9 +111,6 @@ Status FaultSpec::Parse(const std::string& text, FaultSpec* out) {
       } else {
         return Status::InvalidArgument("unknown fault spec key: " + key);
       }
-    }
-    if (end == nullptr || *end != '\0') {
-      return Status::InvalidArgument("bad fault spec value: " + item);
     }
   }
   const double total = spec.drop + spec.bit_flip + spec.truncate +

@@ -209,6 +209,19 @@ TEST(EpochRingDifferentialTest, AnalyzedEpochsMatchOneShotUnderShedding) {
   EXPECT_EQ(ring.tracker().gaps_seen(), shed);
 }
 
+TEST(EpochRingTest, ShedPolicyNamesRoundTrip) {
+  for (const ShedPolicy policy :
+       {ShedPolicy::kBlock, ShedPolicy::kDropOldest, ShedPolicy::kDegrade}) {
+    ShedPolicy parsed = ShedPolicy::kBlock;
+    ASSERT_TRUE(ParseShedPolicy(ShedPolicyName(policy), &parsed).ok());
+    EXPECT_EQ(parsed, policy);
+  }
+  ShedPolicy untouched = ShedPolicy::kDegrade;
+  const Status status = ParseShedPolicy("drop_oldest", &untouched);
+  EXPECT_EQ(status.code(), Status::Code::kInvalidArgument);
+  EXPECT_EQ(untouched, ShedPolicy::kDegrade);
+}
+
 TEST(EpochRingTest, SilentEpochsGetContiguousEmptyReports) {
   EpochRingOptions options = RingOptions(ShedPolicy::kBlock);
   options.capacity = 8;

@@ -68,6 +68,17 @@ TEST(FaultSpecTest, RejectsMalformedInput) {
   EXPECT_FALSE(FaultSpec::Parse("drop=0.6,flip=0.6", &spec).ok());
 }
 
+TEST(FaultSpecTest, RejectsCoercibleNumbers) {
+  FaultSpec spec;
+  EXPECT_FALSE(FaultSpec::Parse("seed=-1", &spec).ok());  // Once wrapped.
+  EXPECT_FALSE(FaultSpec::Parse("seed=99999999999999999999", &spec).ok());
+  EXPECT_FALSE(FaultSpec::Parse("seed=7x", &spec).ok());
+  EXPECT_FALSE(FaultSpec::Parse("drop=0.1x", &spec).ok());
+  EXPECT_FALSE(FaultSpec::Parse("drop=nan", &spec).ok());
+  ASSERT_TRUE(FaultSpec::Parse("seed=18446744073709551615", &spec).ok());
+  EXPECT_EQ(spec.seed, 18446744073709551615u);
+}
+
 TEST(FaultPlanTest, MaterializationIsDeterministic) {
   FaultSpec spec;
   ASSERT_TRUE(

@@ -8,14 +8,17 @@
 // committed full-scale snapshot can gate a CI smoke run as long as the
 // bench emits scale-independent metric names for the shared scenarios
 // (see docs/STREAMING.md and the bench.* catalog in docs/OBSERVABILITY.md).
+// Each factor must be a positive number, parsed whole (dcs::ParseNumber):
+// "x", "2x" or "0" is a usage error.
 // Exit codes: 0 clean, 1 regression, 2 usage/IO error, 3 no overlap.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "bench_compare_lib.h"
+#include "common/config.h"
 
 int main(int argc, char** argv) {
   using namespace dcs::bench_compare;
@@ -23,14 +26,16 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
   for (int i = 1; i < argc; ++i) {
-    const auto flag_value = [&](const char* name, double* out) {
-      if (std::strcmp(argv[i], name) != 0 || i + 1 >= argc) return false;
-      *out = std::strtod(argv[++i], nullptr);
-      return true;
-    };
-    if (flag_value("--timing-factor", &options.timing_factor) ||
-        flag_value("--memory-tolerance", &options.memory_tolerance) ||
-        flag_value("--quality-tolerance", &options.quality_tolerance)) {
+    const std::string_view arg = argv[i];
+    double* factor = arg == "--timing-factor"       ? &options.timing_factor
+                     : arg == "--memory-tolerance"  ? &options.memory_tolerance
+                     : arg == "--quality-tolerance" ? &options.quality_tolerance
+                                                    : nullptr;
+    if (factor != nullptr) {
+      if (++i >= argc || !dcs::ParseNumber(argv[i], factor) || *factor <= 0.0) {
+        std::fprintf(stderr, "%s needs a positive number\n", argv[i - 1]);
+        return 2;
+      }
       continue;
     }
     if (argv[i][0] == '-') {

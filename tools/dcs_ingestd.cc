@@ -10,8 +10,8 @@
 //       printed on stdout]) [--threads 1] [--server-threads <threads>]
 //       [--ring-capacity 8]
 //       [--shed-policy block|drop-oldest|degrade] [--analysis-budget 1]
-//       [--expected-routers 0] [--bitmap-bits 8192] [--n-prime 128]
-//       [--beta 12] [--er-threshold 0] [--max-epochs 0] [--exit-on-idle]
+//       [--expected-routers 0] [--n-prime 128] [--beta 12]
+//       [--er-threshold 0] [--max-epochs 0] [--exit-on-idle]
 //       [--max-rejects 64] [--metrics-out <path>]
 //
 // --max-epochs N exits after N epoch reports have streamed out;
@@ -25,20 +25,24 @@
 // Spins the full loopback pipeline in-process (server on an ephemeral UDS,
 // a sender shipping synthesized digests, reports drained) and exits 0 on
 // success — the ctest smoke that the daemon wiring works end to end.
+//
+// Flags are strict (dcs::Flags, src/common/config.h): an unknown or
+// repeated flag, a malformed or out-of-range number (thread counts stop at
+// kMaxThreads = 256), a value flag with no value, or a switch given a value
+// prints an error naming the flag and exits 1 before any socket is bound.
 
 #include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/analysis_context.h"
+#include "common/config.h"
 #include "common/thread_pool.h"
 #include "dcs/epoch_ring.h"
 #include "netio/digest_sender.h"
@@ -52,42 +56,6 @@
 
 namespace dcs {
 namespace {
-
-// Same minimal --name value / --switch parser as dcs_workbench.
-class Flags {
- public:
-  Status Parse(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        return Status::InvalidArgument("unexpected argument: " + arg);
-      }
-      arg = arg.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "";  // Boolean switch.
-      }
-    }
-    return Status::Ok();
-  }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
-
-  std::string Get(const std::string& name, const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::int64_t GetInt(const std::string& name, std::int64_t fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 std::sig_atomic_t volatile g_signalled = 0;
 
@@ -108,95 +76,65 @@ void PrintReport(const DcsReport& report) {
   std::fflush(stdout);
 }
 
-Status DumpMetrics(const std::string& path) {
-  const std::string text =
-      SnapshotToJsonLines(MetricsRegistry::Global().Snapshot());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot write " + path);
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) return Status::IoError("short write " + path);
-  return Status::Ok();
-}
-
-Status BuildRingOptions(const Flags& flags, EpochRingOptions* out) {
-  EpochRingOptions options;
-  options.capacity =
-      static_cast<std::size_t>(flags.GetInt("ring-capacity", 8));
-  const std::string policy = flags.Get("shed-policy", "block");
-  if (policy == "block") {
-    options.policy = ShedPolicy::kBlock;
-  } else if (policy == "drop-oldest") {
-    options.policy = ShedPolicy::kDropOldest;
-  } else if (policy == "degrade") {
-    options.policy = ShedPolicy::kDegrade;
-  } else {
-    return Status::InvalidArgument(
-        "--shed-policy must be block|drop-oldest|degrade");
-  }
-  options.analysis_budget_per_offer =
-      static_cast<std::size_t>(flags.GetInt("analysis-budget", 1));
-  options.aligned.sketch.num_bits =
-      static_cast<std::size_t>(flags.GetInt("bitmap-bits", 8192));
-  options.aligned.n_prime =
-      static_cast<std::size_t>(flags.GetInt("n-prime", 128));
-  options.aligned.detector.first_iteration_hopefuls = options.aligned.n_prime;
-  options.aligned.detector.hopefuls = options.aligned.n_prime / 2;
-  options.aligned.incremental_weights = true;
-  options.unaligned.er_threshold =
-      static_cast<std::size_t>(flags.GetInt("er-threshold", 0));
-  options.unaligned.detector.beta =
-      static_cast<std::size_t>(flags.GetInt("beta", 12));
-  options.ingest.expected_routers =
-      static_cast<std::uint32_t>(flags.GetInt("expected-routers", 0));
-  *out = options;
-  return Status::Ok();
-}
-
-Status CmdServe(const Flags& flags) {
-  const std::int64_t threads = flags.GetInt("threads", 1);
-  if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
-  std::unique_ptr<ThreadPool> pool;
-  AnalysisContext context;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
-    context.pool = pool.get();
-  }
+Status CmdServe(Flags& flags) {
+  // Every flag is read and checked before a thread, socket or file exists.
+  std::size_t threads = 1;
+  flags.Int("threads", 1, 1, kMaxThreads, &threads);
   // --server-threads N > 1 fans connection reads + frame parsing out on a
   // worker pool per poll round; decoded digests still funnel through the
   // single ordered offer stage, so the report stream is unchanged (the
   // loopback differential suite is the proof). Defaults to --threads, so
   // one flag scales the whole daemon; the analysis pool doubles as the
   // read pool (the stages never overlap — both run inside the poll round).
-  const std::int64_t server_threads =
-      flags.GetInt("server-threads", threads);
-  if (server_threads < 1) {
-    return Status::InvalidArgument("--server-threads must be >= 1");
-  }
-  std::unique_ptr<ThreadPool> server_pool;
-  ThreadPool* read_pool = nullptr;
-  if (server_threads > 1) {
-    if (server_threads == threads) {
-      read_pool = pool.get();
-    } else {
-      server_pool =
-          std::make_unique<ThreadPool>(static_cast<std::size_t>(server_threads));
-      read_pool = server_pool.get();
-    }
-  }
+  std::size_t server_threads = threads;
+  flags.Int("server-threads", threads, 1, kMaxThreads, &server_threads);
   EpochRingOptions ring_options;
-  DCS_RETURN_IF_ERROR(BuildRingOptions(flags, &ring_options));
-  EpochRing ring(ring_options, context);
+  flags.Int("ring-capacity", 8, 1, kMaxRingCapacity, &ring_options.capacity);
+  const std::string policy = flags.String("shed-policy", "block");
+  flags.Int("analysis-budget", 1, 1, kNoMax,
+            &ring_options.analysis_budget_per_offer);
+  flags.Int("n-prime", 128, 2, kNoMax, &ring_options.aligned.n_prime);
+  flags.Int("er-threshold", 0, 0, kNoMax,
+            &ring_options.unaligned.er_threshold);
+  flags.Int("beta", 12, 1, kNoMax, &ring_options.unaligned.detector.beta);
+  flags.Int("expected-routers", 0, 0, kNoMax,
+            &ring_options.ingest.expected_routers);
+  std::uint64_t max_epochs = 0;
+  flags.Int("max-epochs", 0, 0, kNoMax, &max_epochs);
+  const bool exit_on_idle = flags.Switch("exit-on-idle");
+  IngestServerOptions server_options;
+  flags.Int("max-rejects", 64, 0, kNoMax,
+            &server_options.max_rejects_per_connection);
+  const std::string uds = flags.String("uds", "");
+  const bool tcp = flags.Has("tcp-port");
+  std::uint16_t tcp_port = 0;
+  flags.Int("tcp-port", 0, 0, 65535, &tcp_port);
+  const std::string metrics_out = flags.String("metrics-out", "");
+  DCS_RETURN_IF_ERROR(flags.Finish());
+  DCS_RETURN_IF_ERROR(ParseShedPolicy(policy, &ring_options.policy));
+  if (uds.empty() && !tcp) {
+    return Status::InvalidArgument("--uds or --tcp-port required");
+  }
+  if (!metrics_out.empty()) MetricsRegistry::Global().set_enabled(true);
+
+  ring_options.aligned.detector.first_iteration_hopefuls =
+      ring_options.aligned.n_prime;
+  ring_options.aligned.detector.hopefuls = ring_options.aligned.n_prime / 2;
+  ring_options.aligned.incremental_weights = true;
+
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  std::unique_ptr<ThreadPool> server_pool;
+  if (server_threads > 1 && server_threads != threads) {
+    server_pool = std::make_unique<ThreadPool>(server_threads);
+  }
+  EpochRing ring(ring_options, AnalysisContext{pool.get()});
   FrameDispatcher dispatcher(&ring, pool.get());
 
-  const std::int64_t max_epochs = flags.GetInt("max-epochs", 0);
-  const bool exit_on_idle = flags.Has("exit-on-idle");
   std::uint64_t emitted = 0;
   const IngestServer* server_ptr = nullptr;
-  IngestServerOptions server_options;
-  server_options.pool = read_pool;
-  server_options.max_rejects_per_connection =
-      static_cast<std::uint64_t>(flags.GetInt("max-rejects", 64));
+  server_options.pool =
+      server_threads == threads ? pool.get() : server_pool.get();
   // Streams reports as their epochs close; stops on signal, --max-epochs,
   // or (with --exit-on-idle) once every accepted connection has hung up —
   // undrained epochs are then closed at full fidelity below. Runs on the
@@ -208,9 +146,7 @@ Status CmdServe(const Flags& flags) {
       ++emitted;
     }
     if (g_signalled != 0) return false;
-    if (max_epochs > 0 && emitted >= static_cast<std::uint64_t>(max_epochs)) {
-      return false;
-    }
+    if (max_epochs > 0 && emitted >= max_epochs) return false;
     if (exit_on_idle && server_ptr != nullptr) {
       const IngestServerStats& stats = server_ptr->stats();
       if (stats.connections_accepted > 0 &&
@@ -223,18 +159,13 @@ Status CmdServe(const Flags& flags) {
   IngestServer server(server_options, &dispatcher);
   server_ptr = &server;
 
-  const std::string uds = flags.Get("uds", "");
   if (!uds.empty()) {
     DCS_RETURN_IF_ERROR(server.ListenUds(uds));
     std::printf("listening on uds %s\n", uds.c_str());
   }
-  if (flags.Has("tcp-port")) {
-    DCS_RETURN_IF_ERROR(server.ListenTcp(
-        static_cast<std::uint16_t>(flags.GetInt("tcp-port", 0))));
+  if (tcp) {
+    DCS_RETURN_IF_ERROR(server.ListenTcp(tcp_port));
     std::printf("listening on tcp 127.0.0.1:%u\n", server.bound_tcp_port());
-  }
-  if (uds.empty() && !flags.Has("tcp-port")) {
-    return Status::InvalidArgument("--uds or --tcp-port required");
   }
   std::fflush(stdout);
 
@@ -258,9 +189,8 @@ Status CmdServe(const Flags& flags) {
               static_cast<unsigned long long>(stats.digests_accepted),
               static_cast<unsigned long long>(stats.digests_rejected),
               static_cast<unsigned long long>(emitted));
-  const std::string metrics_out = flags.Get("metrics-out", "");
-  if (!metrics_out.empty()) DCS_RETURN_IF_ERROR(DumpMetrics(metrics_out));
-  return Status::Ok();
+  if (metrics_out.empty()) return Status::Ok();
+  return WriteSnapshotFile(MetricsRegistry::Global().Snapshot(), metrics_out);
 }
 
 // In-process loopback smoke: synthesize traffic, collect digests, serve on
@@ -380,18 +310,18 @@ void PrintUsage() {
 }
 
 int Main(int argc, char** argv) {
-  Flags flags;
-  const Status parse_status = flags.Parse(argc, argv, 1);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n", parse_status.ToString().c_str());
-    return 1;
-  }
-  if (flags.Has("help")) {
+  Flags flags(argc, argv, 1);
+  if (flags.Switch("help")) {
     PrintUsage();
     return 0;
   }
-  if (flags.Has("metrics-out")) MetricsRegistry::Global().set_enabled(true);
-  const Status status = flags.Has("self-test") ? CmdSelfTest() : CmdServe(flags);
+  Status status;
+  if (flags.Switch("self-test")) {
+    status = flags.Finish();
+    if (status.ok()) status = CmdSelfTest();
+  } else {
+    status = CmdServe(flags);
+  }
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     if (status.code() == Status::Code::kInvalidArgument) PrintUsage();

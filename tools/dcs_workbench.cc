@@ -61,16 +61,20 @@
 //                         metric summary table after the command finishes.
 //   --metrics-out <path>  Like --metrics, but dump the snapshot as JSON
 //                         lines to <path> instead of a table.
+//
+// Flags are strict (dcs::Flags, src/common/config.h): an unknown or
+// repeated flag, a malformed or out-of-range number (--threads stops at
+// kMaxThreads = 256), a value flag with no value, or a switch given a value
+// prints an error naming the flag and exits 1 before any file is written.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "dcs/dcs.h"
 #include "netio/digest_sender.h"
 #include "obs/exporter.h"
@@ -82,44 +86,8 @@
 namespace dcs {
 namespace {
 
-// ----------------------------------------------------------------------
-// Minimal flag parsing: --name value pairs plus boolean --name switches.
-// ----------------------------------------------------------------------
-
-class Flags {
- public:
-  Status Parse(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        return Status::InvalidArgument("unexpected argument: " + arg);
-      }
-      arg = arg.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[arg] = argv[++i];
-      } else {
-        values_[arg] = "";  // Boolean switch.
-      }
-    }
-    return Status::Ok();
-  }
-
-  bool Has(const std::string& name) const { return values_.contains(name); }
-
-  std::string Get(const std::string& name, const std::string& fallback) const {
-    const auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::int64_t GetInt(const std::string& name, std::int64_t fallback) const {
-    const auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty()) return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 10);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+// Largest --routers: synthesize holds every router's trace in memory.
+constexpr std::int64_t kMaxRouters = 65536;
 
 std::string TracePath(const std::string& dir, std::uint32_t router) {
   return dir + "/router_" + std::to_string(router) + ".trace";
@@ -156,41 +124,41 @@ Status ReadBytes(const std::string& path, std::vector<std::uint8_t>* out) {
 // Stage 1: synthesize traces.
 // ----------------------------------------------------------------------
 
-Status CmdSynthesize(const Flags& flags) {
-  const std::string out_dir = flags.Get("out-dir", "");
+Status CmdSynthesize(Flags& flags) {
+  const std::string out_dir = flags.String("out-dir", "");
+  ScenarioOptions scenario;
+  flags.Int("routers", 24, 1, kMaxRouters, &scenario.num_routers);
+  flags.Int("packets", 5000, 0, kNoMax,
+            &scenario.background_packets_per_router);
+  flags.Int("seed", 42, 0, kNoMax, &scenario.seed);
+  const bool no_content = flags.Switch("no-content");
+  PlantedContent plant;
+  flags.Int("content-id", 1, 0, kNoMax, &plant.content_id);
+  std::size_t content_packets = 0;
+  flags.Int("content-packets", 15, 0, kNoMax, &content_packets);
+  std::uint32_t content_routers = 0;
+  flags.Int("content-routers",
+            static_cast<std::uint32_t>(scenario.num_routers * 3 / 4), 0,
+            static_cast<std::int64_t>(scenario.num_routers), &content_routers);
+  plant.aligned = !flags.Switch("unaligned");
+  flags.Int("instances", plant.aligned ? 1 : 3, 1, kNoMax,
+            &plant.instances_per_router);
+  std::uint64_t catalog_seed = 0;
+  flags.Int("catalog-seed", 7, 0, kNoMax, &catalog_seed);
+  DCS_RETURN_IF_ERROR(flags.Finish());
   if (out_dir.empty()) return Status::InvalidArgument("--out-dir required");
+
   std::error_code ec;
   std::filesystem::create_directories(out_dir, ec);
-
-  ScenarioOptions scenario;
-  scenario.num_routers =
-      static_cast<std::size_t>(flags.GetInt("routers", 24));
-  scenario.background_packets_per_router =
-      static_cast<std::size_t>(flags.GetInt("packets", 5000));
-  scenario.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-
-  if (!flags.Has("no-content")) {
-    PlantedContent plant;
-    plant.content_id = static_cast<std::uint64_t>(
-        flags.GetInt("content-id", 1));
-    plant.content_bytes =
-        static_cast<std::size_t>(flags.GetInt("content-packets", 15)) * 536;
-    const auto content_routers = static_cast<std::uint32_t>(
-        flags.GetInt("content-routers",
-                     static_cast<std::int64_t>(scenario.num_routers * 3 / 4)));
+  if (!no_content) {
+    plant.content_bytes = content_packets * 536;
     for (std::uint32_t r = 0; r < content_routers; ++r) {
       plant.router_ids.push_back(r);
     }
-    plant.aligned = !flags.Has("unaligned");
-    plant.instances_per_router =
-        static_cast<std::size_t>(flags.GetInt("instances", plant.aligned
-                                                               ? 1
-                                                               : 3));
     scenario.planted = {plant};
   }
 
-  ContentCatalog catalog(static_cast<std::uint64_t>(
-      flags.GetInt("catalog-seed", 7)));
+  ContentCatalog catalog(catalog_seed);
   const std::vector<PacketTrace> traces =
       SynthesizeScenario(scenario, catalog);
   for (std::uint32_t r = 0; r < traces.size(); ++r) {
@@ -205,13 +173,31 @@ Status CmdSynthesize(const Flags& flags) {
 // Stage 2: per-router collection.
 // ----------------------------------------------------------------------
 
-Status CmdCollect(const Flags& flags) {
-  const std::string in_dir = flags.Get("in-dir", "");
-  const std::string out_dir = flags.Get("out-dir", in_dir);
-  if (in_dir.empty()) return Status::InvalidArgument("--in-dir required");
-  const bool unaligned = flags.Get("mode", "aligned") == "unaligned";
+// "aligned" or "unaligned" from --mode; false and InvalidArgument otherwise.
+Status ReadMode(Flags& flags, bool* unaligned) {
+  const std::string mode = flags.String("mode", "aligned");
+  *unaligned = mode == "unaligned";
+  if (*unaligned || mode == "aligned") return Status::Ok();
+  return Status::InvalidArgument("--mode must be aligned|unaligned, got \"" +
+                                 mode + "\"");
+}
 
-  Rng offsets_rng(static_cast<std::uint64_t>(flags.GetInt("seed", 2026)));
+Status CmdCollect(Flags& flags) {
+  const std::string in_dir = flags.String("in-dir", "");
+  const std::string out_dir = flags.String("out-dir", in_dir);
+  bool unaligned = false;
+  const Status mode_status = ReadMode(flags, &unaligned);
+  std::uint64_t seed = 0;
+  flags.Int("seed", 2026, 0, kNoMax, &seed);
+  FlowSplitOptions split;
+  flags.Int("groups", 16, 1, kNoMax, &split.num_groups);
+  BitmapSketchOptions bitmap;
+  flags.Int("bitmap-bits", 8192, 1, kNoMax, &bitmap.num_bits);
+  DCS_RETURN_IF_ERROR(flags.Finish());
+  DCS_RETURN_IF_ERROR(mode_status);
+  if (in_dir.empty()) return Status::InvalidArgument("--in-dir required");
+
+  Rng offsets_rng(seed);
   std::uint32_t routers = 0;
   std::uint64_t digest_bytes = 0;
   std::uint64_t raw_bytes = 0;
@@ -225,16 +211,10 @@ Status CmdCollect(const Flags& flags) {
 
     Digest digest;
     if (unaligned) {
-      FlowSplitOptions opts;
-      opts.num_groups =
-          static_cast<std::size_t>(flags.GetInt("groups", 16));
-      UnalignedCollector collector(r, opts, &offsets_rng);
+      UnalignedCollector collector(r, split, &offsets_rng);
       digest = collector.ProcessEpoch(epochs[0]);
     } else {
-      BitmapSketchOptions opts;
-      opts.num_bits =
-          static_cast<std::size_t>(flags.GetInt("bitmap-bits", 8192));
-      AlignedCollector collector(r, opts);
+      AlignedCollector collector(r, bitmap);
       digest = collector.ProcessEpoch(epochs[0]);
     }
     const std::vector<std::uint8_t> encoded = digest.Encode();
@@ -262,14 +242,11 @@ Status CmdCollect(const Flags& flags) {
 // every epoch in [0, ring_epochs) * stride, re-stamped per epoch, offered
 // to an EpochRing. Prints one line per closed epoch plus the ring and
 // tracker totals.
-Status RunRingReplay(const Flags& flags, const EpochRingOptions& options,
+Status RunRingReplay(std::uint64_t ring_epochs, std::uint64_t stride,
+                     const EpochRingOptions& options,
                      const AnalysisContext& context, FaultInjector* injector,
                      std::uint32_t num_digest_files,
                      const std::string& in_dir) {
-  const std::int64_t ring_epochs = flags.GetInt("ring-epochs", 0);
-  const std::int64_t stride = flags.GetInt("epoch-stride", 1);
-  if (stride < 1) return Status::InvalidArgument("--epoch-stride must be >= 1");
-
   std::vector<std::vector<std::uint8_t>> payloads(num_digest_files);
   for (std::uint32_t r = 0; r < num_digest_files; ++r) {
     DCS_RETURN_IF_ERROR(ReadBytes(DigestPath(in_dir, r), &payloads[r]));
@@ -278,9 +255,8 @@ Status RunRingReplay(const Flags& flags, const EpochRingOptions& options,
   EpochRing ring(options, context);
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  for (std::int64_t i = 0; i < ring_epochs; ++i) {
-    const std::uint64_t epoch =
-        static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(stride);
+  for (std::uint64_t i = 0; i < ring_epochs; ++i) {
+    const std::uint64_t epoch = i * stride;
     for (std::uint32_t r = 0; r < num_digest_files; ++r) {
       std::vector<std::vector<std::uint8_t>> delivered;
       std::vector<std::uint8_t> stamped =
@@ -305,11 +281,11 @@ Status RunRingReplay(const Flags& flags, const EpochRingOptions& options,
   ring.Drain();
 
   const std::vector<DcsReport> reports = ring.TakeReports();
-  std::printf("ring: %s policy, capacity %zu, %lld offered epochs "
-              "(stride %lld), %llu digests accepted, %llu rejected\n",
+  std::printf("ring: %s policy, capacity %zu, %llu offered epochs "
+              "(stride %llu), %llu digests accepted, %llu rejected\n",
               ShedPolicyName(options.policy), options.capacity,
-              static_cast<long long>(ring_epochs),
-              static_cast<long long>(stride),
+              static_cast<unsigned long long>(ring_epochs),
+              static_cast<unsigned long long>(stride),
               static_cast<unsigned long long>(accepted),
               static_cast<unsigned long long>(rejected));
   for (const DcsReport& report : reports) {
@@ -339,49 +315,56 @@ Status RunRingReplay(const Flags& flags, const EpochRingOptions& options,
   return Status::Ok();
 }
 
-Status CmdAnalyze(const Flags& flags) {
-  const std::string in_dir = flags.Get("in-dir", "");
-  if (in_dir.empty()) return Status::InvalidArgument("--in-dir required");
-  const bool unaligned = flags.Get("mode", "aligned") == "unaligned";
+Status CmdAnalyze(Flags& flags) {
+  const std::string in_dir = flags.String("in-dir", "");
+  bool unaligned = false;
+  const Status mode_status = ReadMode(flags, &unaligned);
 
   AlignedPipelineOptions aligned;
-  aligned.sketch.num_bits =
-      static_cast<std::size_t>(flags.GetInt("bitmap-bits", 8192));
-  aligned.n_prime = static_cast<std::size_t>(flags.GetInt("n-prime", 128));
+  flags.Int("n-prime", 128, 2, kNoMax, &aligned.n_prime);
   aligned.detector.first_iteration_hopefuls = aligned.n_prime;
   aligned.detector.hopefuls = aligned.n_prime / 2;
 
   UnalignedPipelineOptions unaligned_opts;
-  unaligned_opts.er_threshold =
-      static_cast<std::size_t>(flags.GetInt("er-threshold", 0));
-  unaligned_opts.detector.beta =
-      static_cast<std::size_t>(flags.GetInt("beta", 12));
-  unaligned_opts.detector.expand_min_edges =
-      static_cast<std::size_t>(flags.GetInt("expand-min-edges", 2));
+  flags.Int("er-threshold", 0, 0, kNoMax, &unaligned_opts.er_threshold);
+  flags.Int("beta", 12, 1, kNoMax, &unaligned_opts.detector.beta);
+  flags.Int("expand-min-edges", 2, 0, kNoMax,
+            &unaligned_opts.detector.expand_min_edges);
 
-  const std::int64_t threads = flags.GetInt("threads", 1);
-  if (threads < 1) return Status::InvalidArgument("--threads must be >= 1");
-  std::unique_ptr<ThreadPool> pool;
-  AnalysisContext context;
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(threads));
-    context.pool = pool.get();
-  }
+  std::size_t threads = 1;
+  flags.Int("threads", 1, 1, kMaxThreads, &threads);
   // Hardened ingestion: either flag opts in. Rejections are reported and
   // survived instead of aborting the run.
   IngestOptions ingest;
-  ingest.expected_routers =
-      static_cast<std::uint32_t>(flags.GetInt("expected-routers", 0));
-  const std::string fault_plan_text = flags.Get("fault-plan", "");
-  const bool hardened = ingest.expected_routers > 0 || flags.Has("fault-plan");
+  flags.Int("expected-routers", 0, 0, kNoMax, &ingest.expected_routers);
+  const bool has_fault_plan = flags.Has("fault-plan");
+  const std::string fault_plan_text = flags.String("fault-plan", "");
+  std::uint64_t expected_epoch = 0;
+  flags.Int("expected-epoch", 0, 0, kNoMax, &expected_epoch);
+
+  std::uint64_t ring_epochs = 0;
+  flags.Int("ring-epochs", 0, 0, kNoMax, &ring_epochs);
+  EpochRingOptions ring_options;
+  flags.Int("ring-capacity", 4, 1, kMaxRingCapacity, &ring_options.capacity);
+  const std::string policy = flags.String("shed-policy", "block");
+  std::uint64_t stride = 1;
+  flags.Int("epoch-stride", 1, 1, kNoMax, &stride);
+  DCS_RETURN_IF_ERROR(flags.Finish());
+  DCS_RETURN_IF_ERROR(mode_status);
+  DCS_RETURN_IF_ERROR(ParseShedPolicy(policy, &ring_options.policy));
+  if (in_dir.empty()) return Status::InvalidArgument("--in-dir required");
+
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  const AnalysisContext context{pool.get()};
+  const bool hardened = ingest.expected_routers > 0 || has_fault_plan;
   if (hardened) {
     // Pin the reference epoch instead of locking to the first arrival: a
     // forged epoch_id in the first message must not get every honest
     // router quarantined as "stale". The collectors in this repo always
     // stamp epoch 0, so 0 is the right default.
     ingest.lock_epoch_to_first = false;
-    ingest.expected_epoch =
-        static_cast<std::uint64_t>(flags.GetInt("expected-epoch", 0));
+    ingest.expected_epoch = expected_epoch;
   }
 
   // The plan needs the router count up front: count the digest files.
@@ -394,7 +377,7 @@ Status CmdAnalyze(const Flags& flags) {
   }
 
   std::unique_ptr<FaultInjector> injector;
-  if (flags.Has("fault-plan")) {
+  if (has_fault_plan) {
     FaultSpec spec;
     DCS_RETURN_IF_ERROR(FaultSpec::Parse(fault_plan_text, &spec));
     FaultPlan plan = MaterializeFaultPlan(spec, num_digest_files);
@@ -402,27 +385,13 @@ Status CmdAnalyze(const Flags& flags) {
     injector = std::make_unique<FaultInjector>(std::move(plan));
   }
 
-  if (flags.GetInt("ring-epochs", 0) > 0) {
-    EpochRingOptions ring_options;
-    ring_options.capacity =
-        static_cast<std::size_t>(flags.GetInt("ring-capacity", 4));
-    const std::string policy = flags.Get("shed-policy", "block");
-    if (policy == "block") {
-      ring_options.policy = ShedPolicy::kBlock;
-    } else if (policy == "drop-oldest") {
-      ring_options.policy = ShedPolicy::kDropOldest;
-    } else if (policy == "degrade") {
-      ring_options.policy = ShedPolicy::kDegrade;
-    } else {
-      return Status::InvalidArgument(
-          "--shed-policy must be block|drop-oldest|degrade");
-    }
+  if (ring_epochs > 0) {
     ring_options.aligned = aligned;
     ring_options.aligned.incremental_weights = true;
     ring_options.unaligned = unaligned_opts;
     ring_options.ingest = ingest;
-    return RunRingReplay(flags, ring_options, context, injector.get(),
-                         num_digest_files, in_dir);
+    return RunRingReplay(ring_epochs, stride, ring_options, context,
+                         injector.get(), num_digest_files, in_dir);
   }
 
   DcsMonitor monitor(aligned, unaligned_opts, context, ingest);
@@ -478,15 +447,27 @@ Status CmdAnalyze(const Flags& flags) {
 // Stage 2.5: ship digests to a remote analysis center (dcs_ingestd).
 // ----------------------------------------------------------------------
 
-Status CmdSend(const Flags& flags) {
-  const std::string in_dir = flags.Get("in-dir", "");
+Status CmdSend(Flags& flags) {
+  const std::string in_dir = flags.String("in-dir", "");
+  const std::string uds = flags.String("uds", "");
+  std::uint16_t port = 0;
+  flags.Int("tcp-port", 0, 1, 65535, &port);
+  const std::string host = flags.String("host", "127.0.0.1");
+  const std::string codec_name = flags.String("codec", "auto");
+  std::uint64_t epochs = 1;
+  flags.Int("epochs", 1, 1, kNoMax, &epochs);
+  std::uint64_t stride = 1;
+  flags.Int("epoch-stride", 1, 1, kNoMax, &stride);
+  // --coalesce-bytes batches frames on the sender before each socket write
+  // (0 = ship every frame immediately); the fan-in knob for runs that
+  // replay many epochs per connection.
+  SenderOptions sender_options;
+  flags.Int("coalesce-bytes", 0, 0, kNoMax, &sender_options.coalesce_bytes);
+  DCS_RETURN_IF_ERROR(flags.Finish());
   if (in_dir.empty()) return Status::InvalidArgument("--in-dir required");
-  const std::string uds = flags.Get("uds", "");
-  const std::int64_t port = flags.GetInt("tcp-port", 0);
   if (uds.empty() && port == 0) {
     return Status::InvalidArgument("--uds or --tcp-port required");
   }
-  const std::string codec_name = flags.Get("codec", "auto");
   CodecMode mode;
   if (codec_name == "raw") {
     mode = CodecMode::kRaw;
@@ -496,11 +477,6 @@ Status CmdSend(const Flags& flags) {
     mode = CodecMode::kAuto;
   } else {
     return Status::InvalidArgument("--codec must be raw|sparse|auto");
-  }
-  const std::int64_t epochs = flags.GetInt("epochs", 1);
-  const std::int64_t stride = flags.GetInt("epoch-stride", 1);
-  if (epochs < 1 || stride < 1) {
-    return Status::InvalidArgument("--epochs and --epoch-stride must be >= 1");
   }
 
   std::vector<Digest> digests;
@@ -515,26 +491,18 @@ Status CmdSend(const Flags& flags) {
   }
   if (digests.empty()) return Status::NotFound("no digests in " + in_dir);
 
-  // --coalesce-bytes batches frames on the sender before each socket write
-  // (0 = ship every frame immediately); the fan-in knob for runs that
-  // replay many epochs per connection.
-  SenderOptions sender_options;
-  sender_options.coalesce_bytes =
-      static_cast<std::size_t>(flags.GetInt("coalesce-bytes", 0));
   DigestSender sender;
   if (!uds.empty()) {
     DCS_RETURN_IF_ERROR(DigestSender::ConnectUds(uds, &sender, sender_options));
   } else {
-    DCS_RETURN_IF_ERROR(DigestSender::ConnectTcp(
-        flags.Get("host", "127.0.0.1"), static_cast<std::uint16_t>(port),
-        &sender, sender_options));
+    DCS_RETURN_IF_ERROR(
+        DigestSender::ConnectTcp(host, port, &sender, sender_options));
   }
   // Epoch-major, router-minor: the canonical replay order, so the server's
   // report stream is comparable with `analyze --ring-epochs`.
-  for (std::int64_t e = 0; e < epochs; ++e) {
+  for (std::uint64_t e = 0; e < epochs; ++e) {
     for (Digest& digest : digests) {
-      digest.epoch_id =
-          static_cast<std::uint64_t>(e) * static_cast<std::uint64_t>(stride);
+      digest.epoch_id = e * stride;
       DCS_RETURN_IF_ERROR(sender.Send(digest, mode));
     }
   }
@@ -551,43 +519,33 @@ Status CmdSend(const Flags& flags) {
   return Status::Ok();
 }
 
-Status CmdDemo() {
+Status CmdDemo(Flags& flags) {
+  DCS_RETURN_IF_ERROR(flags.Finish());
   const std::string dir =
       (std::filesystem::temp_directory_path() / "dcs_workbench_demo")
           .string();
   std::filesystem::remove_all(dir);
   std::printf("== demo in %s ==\n", dir.c_str());
-  Flags synth;
-  char arg_out[] = "--out-dir";
-  char* synth_argv[] = {arg_out, const_cast<char*>(dir.c_str())};
-  DCS_RETURN_IF_ERROR(synth.Parse(2, synth_argv, 0));
+  const char* synth_argv[] = {"--out-dir", dir.c_str()};
+  Flags synth(2, synth_argv, 0);
   DCS_RETURN_IF_ERROR(CmdSynthesize(synth));
-  char arg_in[] = "--in-dir";
-  char* dir_argv[] = {arg_in, const_cast<char*>(dir.c_str())};
-  Flags collect;
-  DCS_RETURN_IF_ERROR(collect.Parse(2, dir_argv, 0));
+  const char* dir_argv[] = {"--in-dir", dir.c_str()};
+  Flags collect(2, dir_argv, 0);
   DCS_RETURN_IF_ERROR(CmdCollect(collect));
-  Flags analyze;
-  DCS_RETURN_IF_ERROR(analyze.Parse(2, dir_argv, 0));
+  Flags analyze(2, dir_argv, 0);
   return CmdAnalyze(analyze);
 }
 
-// Writes the final registry snapshot: JSON lines to --metrics-out when
-// given, otherwise a summary table on stdout.
-Status DumpMetrics(const Flags& flags) {
+// Writes the final registry snapshot: JSON lines to `out` when given,
+// otherwise a summary table on stdout.
+Status DumpMetrics(const std::string& out) {
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const std::string out = flags.Get("metrics-out", "");
   if (out.empty()) {
     std::printf("\n== metrics ==\n");
     PrintSnapshotTable(snapshot, std::cout);
     return Status::Ok();
   }
-  const std::string text = SnapshotToJsonLines(snapshot);
-  std::FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) return Status::IoError("cannot write " + out);
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) return Status::IoError("short write " + out);
+  DCS_RETURN_IF_ERROR(WriteSnapshotFile(snapshot, out));
   std::printf("metrics: wrote %zu metrics to %s\n", snapshot.entries.size(),
               out.c_str());
   return Status::Ok();
@@ -611,13 +569,9 @@ int Main(int argc, char** argv) {
     PrintUsage();
     return 0;
   }
-  Flags flags;
-  const Status parse_status = flags.Parse(argc, argv, 2);
-  if (!parse_status.ok()) {
-    std::fprintf(stderr, "%s\n", parse_status.ToString().c_str());
-    return 1;
-  }
-  const bool metrics = flags.Has("metrics") || flags.Has("metrics-out");
+  Flags flags(argc, argv, 2);
+  const std::string metrics_out = flags.String("metrics-out", "");
+  const bool metrics = flags.Switch("metrics") || flags.Has("metrics-out");
   if (metrics) MetricsRegistry::Global().set_enabled(true);
   Status status;
   if (command == "synthesize") {
@@ -629,12 +583,12 @@ int Main(int argc, char** argv) {
   } else if (command == "send") {
     status = CmdSend(flags);
   } else if (command == "demo") {
-    status = CmdDemo();
+    status = CmdDemo(flags);
   } else {
     PrintUsage();
     return 1;
   }
-  if (status.ok() && metrics) status = DumpMetrics(flags);
+  if (status.ok() && metrics) status = DumpMetrics(metrics_out);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
